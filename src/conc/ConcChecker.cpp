@@ -6,19 +6,13 @@
 
 #include "conc/ConcChecker.h"
 
-#include "seqcheck/Profile.h"
-#include "seqcheck/StateStore.h"
-#include "telemetry/Telemetry.h"
+#include "seqcheck/Explorer.h"
 
-#include <algorithm>
-#include <cassert>
-#include <chrono>
 #include <deque>
 
 using namespace kiss;
 using namespace kiss::rt;
 using namespace kiss::conc;
-using kiss::seqcheck::StateStore;
 
 namespace {
 
@@ -28,24 +22,6 @@ struct SchedCtx {
   int32_t LastThread = -1;
   uint32_t Switches = 0;
 };
-
-/// Back-pointer for counterexample reconstruction, indexed by state id.
-struct ParentLink {
-  uint32_t Parent = StateStore::InvalidId; ///< InvalidId for the root.
-  TraceStep Step;
-};
-
-std::vector<TraceStep> rebuildTrace(const std::vector<ParentLink> &Links,
-                                    uint32_t Id, const TraceStep &Last) {
-  std::vector<TraceStep> Trace;
-  Trace.push_back(Last);
-  while (Links[Id].Parent != StateStore::InvalidId) {
-    Trace.push_back(Links[Id].Step);
-    Id = Links[Id].Parent;
-  }
-  std::reverse(Trace.begin(), Trace.end());
-  return Trace;
-}
 
 void makeKeyInto(const MachineState &S, const SchedCtx &Ctx, bool Bounded,
                  std::string &Out) {
@@ -57,126 +33,31 @@ void makeKeyInto(const MachineState &S, const SchedCtx &Ctx, bool Bounded,
   }
 }
 
-} // namespace
-
-CheckResult conc::checkProgram(const lang::Program &P,
-                               const cfg::ProgramCFG &CFG,
-                               const ConcOptions &Opts) {
-  CheckResult R;
-
-  const lang::FuncDecl *Entry = P.getEntryFunction();
-  if (!Entry || Entry->getNumParams() != 0) {
-    R.Outcome = CheckOutcome::RuntimeError;
-    R.Message = "program has no parameterless entry function";
-    return R;
+/// The interleaving engine: at each state, steps every thread the
+/// scheduling rules allow (see ConcChecker.h) with the shared transition
+/// relation, on its own decoded copy of the state.
+class ConcEngine {
+public:
+  ConcEngine(const lang::Program &P, const cfg::ProgramCFG &CFG,
+             const ConcOptions &Opts)
+      : P(P), CFG(CFG), Opts(Opts), Bounded(Opts.ContextSwitchBound >= 0),
+        X(P, CFG, Opts) {
+    SO.AllowAsync = true;
+    SO.MaxThreads = Opts.MaxThreads;
+    SO.MaxFrames = Opts.MaxFrames;
   }
-  uint32_t EntryIdx = P.getFunctionIndex(P.getEntryName());
 
-  StepOptions SO;
-  SO.AllowAsync = true;
-  SO.MaxThreads = Opts.MaxThreads;
-  SO.MaxFrames = Opts.MaxFrames;
-  const bool Bounded = Opts.ContextSwitchBound >= 0;
+  CheckResult run() { return X.run(*this); }
 
-  struct WorkItem {
-    MachineState S;
-    SchedCtx Ctx;
-    uint32_t Id;
-    uint32_t Depth = 0; ///< BFS layer (root = 0).
-  };
+  void root(MachineState Init, std::string &Key) {
+    makeKeyInto(Init, SchedCtx(), Bounded, Key);
+    Queue.push_back(Item{std::move(Init), SchedCtx()});
+  }
 
-  StateStore Store(Opts.Store);
-  std::vector<ParentLink> Links;
-  std::deque<WorkItem> Queue;
-  std::string Scratch;
-
-  // Exploration telemetry (rt::ExplorationStats): store-side counters come
-  // from the StateStore at exit; the loop tracks frontier peak and depth.
-  uint64_t FrontierPeak = 1;
-  uint64_t DepthMax = 0;
-  ProfileCollector Prof;
-  if (Opts.Profile)
-    Prof.enable(CFG);
-  auto finish = [&](CheckResult &R) {
-    R.StatesExplored = Store.size();
-    const StateStore::IndexStats &IS = Store.indexStats();
-    R.Exploration.DedupHits = IS.Hits;
-    R.Exploration.HashProbes = IS.Probes;
-    R.Exploration.KeyVerifies = IS.Verifies;
-    R.Exploration.HashCollisions = IS.Collisions;
-    R.Exploration.ArenaBytes = Store.arenaBytes();
-    R.Exploration.IndexBytes = Store.indexBytes();
-    R.Exploration.FrontierPeak = FrontierPeak;
-    R.Exploration.DepthMax = DepthMax;
-    if (Prof.on())
-      R.Profile = Prof.take();
-    if (Opts.Progress)
-      Opts.Progress->finish(Store.size(), Queue.size(),
-                            Store.memoryBytes());
-  };
-
-  // Deterministic time-series: sampled at the top of the pop loop, keyed
-  // by state count (see seqcheck's checkProgram for the contract).
-  const auto StartTime = std::chrono::steady_clock::now();
-  uint64_t NextSample = Opts.SampleEvery;
-  auto takeSample = [&](uint64_t Frontier) {
-    const StateStore::IndexStats &IS = Store.indexStats();
-    ExplorationSample Smp;
-    Smp.States = Store.size();
-    Smp.Transitions = R.TransitionsExplored;
-    Smp.DedupHits = IS.Hits;
-    Smp.Frontier = Frontier;
-    Smp.ArenaBytes = Store.arenaBytes();
-    Smp.IndexBytes = Store.indexBytes();
-    Smp.DepthMax = DepthMax;
-    Smp.WallMs = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - StartTime)
-                     .count();
-    R.Series.push_back(Smp);
-  };
-
-  MachineState Init = makeInitialState(P, CFG, EntryIdx);
-  SchedCtx InitCtx;
-  makeKeyInto(Init, InitCtx, Bounded, Scratch);
-  uint32_t InitId = Store.intern(Scratch).first;
-  Links.push_back(ParentLink{});
-  Queue.push_back(WorkItem{std::move(Init), InitCtx, InitId, 0});
-
-  // The resource governor (deadline / memory / cancellation); its fast
-  // path is one decrement-and-compare per expanded state, like the
-  // heartbeat's tick.
-  gov::Governor Gov(Opts.Budget);
-
-  // StatesExplored is the number of distinct states discovered
-  // (= Store.size()) on every exit path.
-  while (!Queue.empty()) {
-    if (Store.size() > Opts.MaxStates) {
-      R.Outcome = CheckOutcome::BoundExceeded;
-      R.Bound = gov::BoundReason::States;
-      R.Message = "state budget of " + std::to_string(Opts.MaxStates) +
-                  " states exceeded";
-      finish(R);
-      return R;
-    }
-    if (Gov.shouldStop(Store.memoryBytes())) {
-      R.Outcome = CheckOutcome::BoundExceeded;
-      R.Bound = Gov.reason();
-      R.Message = Gov.message();
-      finish(R);
-      return R;
-    }
-    if (Opts.Progress)
-      Opts.Progress->tick(Store.size(), Queue.size(), Store.memoryBytes());
-    if (Opts.SampleEvery && Store.size() >= NextSample) {
-      takeSample(Queue.size());
-      NextSample = (Store.size() / Opts.SampleEvery + 1) * Opts.SampleEvery;
-    }
-
-    WorkItem Item = std::move(Queue.front());
+  StepResult::Kind expand(uint32_t Id, Explorer::Fault &F) {
+    Item It = std::move(Queue.front());
     Queue.pop_front();
-    const MachineState &S = Item.S;
-    if (Item.Depth > DepthMax)
-      DepthMax = Item.Depth;
+    const MachineState &S = It.S;
 
     // Which threads may run? Threads holding atomicity get exclusivity
     // while enabled.
@@ -190,103 +71,92 @@ CheckResult conc::checkProgram(const lang::Program &P,
         AtomicLive.push_back(T);
     }
 
-    // Step all candidate threads; remember which produced successors.
-    auto tryThreads = [&](const std::vector<uint32_t> &Tids,
-                          bool &AnyEnabled) -> bool {
-      AnyEnabled = false;
-      for (uint32_t T : Tids) {
-        if (Bounded && Item.Ctx.LastThread >= 0 &&
-            static_cast<int32_t>(T) != Item.Ctx.LastThread &&
-            Item.Ctx.Switches >=
-                static_cast<uint32_t>(Opts.ContextSwitchBound))
-          continue; // Switching to T would exceed the bound.
-
-        const Frame &Top = S.Threads[T].Frames.back();
-        TraceStep Step{T, Top.Func, Top.PC};
-        StepResult SR = stepThread(P, CFG, S, T, SO);
-
-        switch (SR.K) {
-        case StepResult::Kind::Blocked:
-          if (Prof.on())
-            Prof.bump(Step.Func, Step.Node, 0, 0);
-          continue;
-        case StepResult::Kind::AssertFailure:
-        case StepResult::Kind::RuntimeError:
-          R.Outcome = SR.K == StepResult::Kind::AssertFailure
-                          ? CheckOutcome::AssertionFailure
-                          : CheckOutcome::RuntimeError;
-          R.Message = SR.Message;
-          R.ErrorLoc = SR.ErrorLoc;
-          R.Trace = rebuildTrace(Links, Item.Id, Step);
-          finish(R);
-          return true;
-        case StepResult::Kind::BoundExceeded:
-          R.Outcome = CheckOutcome::BoundExceeded;
-          R.Bound = gov::BoundReason::States; // Frame/thread bound.
-          R.Message = SR.Message;
-          R.ErrorLoc = SR.ErrorLoc;
-          finish(R);
-          return true;
-        case StepResult::Kind::Ok: {
-          AnyEnabled = true;
-          SchedCtx NCtx = Item.Ctx;
-          if (Bounded) {
-            if (NCtx.LastThread >= 0 &&
-                NCtx.LastThread != static_cast<int32_t>(T))
-              ++NCtx.Switches;
-            NCtx.LastThread = static_cast<int32_t>(T);
-          }
-          uint64_t NewStates = 0;
-          for (MachineState &NS : SR.Successors) {
-            ++R.TransitionsExplored;
-            makeKeyInto(NS, NCtx, Bounded, Scratch);
-            auto [NId, Inserted] = Store.internChild(Scratch, Item.Id);
-            if (!Inserted)
-              continue;
-            ++NewStates;
-            assert(NId == Links.size() &&
-                   "ids are dense in insertion order");
-            Links.push_back(ParentLink{Item.Id, Step});
-            Queue.push_back(
-                WorkItem{std::move(NS), NCtx, NId, Item.Depth + 1});
-          }
-          if (Prof.on())
-            Prof.bump(Step.Func, Step.Node, SR.Successors.size(),
-                      SR.Successors.size() - NewStates);
-          if (Queue.size() > FrontierPeak)
-            FrontierPeak = Queue.size();
-          break;
-        }
-        }
-      }
-      return false;
-    };
-
-    bool AnyAtomicEnabled = false;
+    bool AnyEnabled = false;
     if (!AtomicLive.empty()) {
-      if (tryThreads(AtomicLive, AnyAtomicEnabled))
-        return R;
-      if (AnyAtomicEnabled)
-        continue; // Exclusivity: only atomic holders ran from this state.
-      // All atomic holders are blocked: fall through to the other threads.
+      StepResult::Kind K = stepThreads(It, Id, AtomicLive, AnyEnabled, F);
+      if (K != StepResult::Kind::Ok || AnyEnabled)
+        return K; // Exclusivity: only atomic holders ran from this state.
+      // All atomic holders are blocked: the other threads may run.
       std::vector<uint32_t> Others;
       for (uint32_t T : Live)
         if (S.Threads[T].AtomicDepth == 0)
           Others.push_back(T);
-      bool AnyEnabled = false;
-      if (tryThreads(Others, AnyEnabled))
-        return R;
-      continue;
+      return stepThreads(It, Id, Others, AnyEnabled, F);
     }
-
-    bool AnyEnabled = false;
-    if (tryThreads(Live, AnyEnabled))
-      return R;
-    // No enabled thread: terminal (completion or a permanently blocked
-    // assume) — not an error.
+    // With no enabled thread the state is terminal (completion or a
+    // permanently blocked assume), not an error.
+    return stepThreads(It, Id, Live, AnyEnabled, F);
   }
 
-  R.Outcome = CheckOutcome::Safe;
-  finish(R);
-  return R;
+private:
+  struct Item {
+    MachineState S;
+    SchedCtx Ctx;
+  };
+
+  /// Steps each thread of \p Tids from \p It (state \p Id) and emits the
+  /// successors. \returns Ok, or the first error/bound kind with \p F set;
+  /// \p AnyEnabled tells whether some thread produced successors.
+  StepResult::Kind stepThreads(const Item &It, uint32_t Id,
+                               const std::vector<uint32_t> &Tids,
+                               bool &AnyEnabled, Explorer::Fault &F) {
+    AnyEnabled = false;
+    for (uint32_t T : Tids) {
+      if (Bounded && It.Ctx.LastThread >= 0 &&
+          static_cast<int32_t>(T) != It.Ctx.LastThread &&
+          It.Ctx.Switches >= static_cast<uint32_t>(Opts.ContextSwitchBound))
+        continue; // Switching to T would exceed the bound.
+
+      const Frame &Top = It.S.Threads[T].Frames.back();
+      F.Step = TraceStep{T, Top.Func, Top.PC};
+      const Explorer::Mark M = X.mark();
+      StepResult SR = stepThread(P, CFG, It.S, T, SO);
+      switch (SR.K) {
+      case StepResult::Kind::Ok: {
+        AnyEnabled = true;
+        SchedCtx NCtx = It.Ctx;
+        if (Bounded) {
+          if (NCtx.LastThread >= 0 &&
+              NCtx.LastThread != static_cast<int32_t>(T))
+            ++NCtx.Switches;
+          NCtx.LastThread = static_cast<int32_t>(T);
+        }
+        for (MachineState &NS : SR.Successors) {
+          makeKeyInto(NS, NCtx, Bounded, Scratch);
+          if (X.emit(Scratch, Id, F.Step))
+            Queue.push_back(Item{std::move(NS), NCtx});
+        }
+        X.attribute(F.Step, M);
+        break;
+      }
+      case StepResult::Kind::Blocked:
+        X.attribute(F.Step, M);
+        break;
+      default:
+        F.Message = std::move(SR.Message);
+        F.Loc = SR.ErrorLoc;
+        return SR.K;
+      }
+    }
+    return StepResult::Kind::Ok;
+  }
+
+  const lang::Program &P;
+  const cfg::ProgramCFG &CFG;
+  const ConcOptions &Opts;
+  const bool Bounded;
+  StepOptions SO;
+  Explorer X;
+  /// Decoded states (with their scheduling context) of the ids not yet
+  /// expanded, in id order.
+  std::deque<Item> Queue;
+  std::string Scratch; ///< Key buffer, reused per successor.
+};
+
+} // namespace
+
+CheckResult conc::checkProgram(const lang::Program &P,
+                               const cfg::ProgramCFG &CFG,
+                               const ConcOptions &Opts) {
+  return ConcEngine(P, CFG, Opts).run();
 }

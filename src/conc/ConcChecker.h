@@ -35,37 +35,17 @@
 #include "seqcheck/CommonOptions.h"
 #include "seqcheck/Result.h"
 #include "seqcheck/Step.h"
-#include "support/Governor.h"
-
-namespace kiss::telemetry {
-class Heartbeat;
-} // namespace kiss::telemetry
 
 namespace kiss::conc {
 
-/// Budgets and options for one concurrent run.
-struct ConcOptions {
-  uint64_t MaxStates = 1'000'000;
+/// Options for one concurrent run: the shell's knobs (see
+/// rt::ExploreOptions) plus the interleaving checker's own.
+struct ConcOptions : rt::ExploreOptions {
   uint32_t MaxThreads = 16;
   uint32_t MaxFrames = 256;
-  /// Deadline / memory / cancellation budget, checked from the BFS hot
-  /// loop. A default budget never trips.
-  gov::RunBudget Budget;
   /// If >= 0, only executions with at most this many context switches are
   /// explored (used to validate Theorem 1; -1 = unbounded).
   int32_t ContextSwitchBound = -1;
-  /// If set, ticked once per expanded state with (distinct states,
-  /// frontier size) — the CLI's --progress heartbeat. Not owned.
-  telemetry::Heartbeat *Progress = nullptr;
-  /// Visited-set storage mode (see rt::StoreMode). Verdicts and counts
-  /// are identical across modes; Delta trades decode work for arena size.
-  rt::StoreMode Store = rt::StoreMode::Flat;
-  /// If nonzero, snapshot an rt::ExplorationSample into
-  /// CheckResult::Series every time the visited-state count crosses a
-  /// multiple of this stride (see seqcheck::SeqOptions::SampleEvery).
-  uint64_t SampleEvery = 0;
-  /// Collect the per-CFG-node hot-path profile into CheckResult::Profile.
-  bool Profile = false;
 };
 
 /// Model checks concurrent core program \p P from its entry function.

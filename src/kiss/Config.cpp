@@ -209,14 +209,6 @@ const FieldSpec Table[] = {
        }
        return true;
      }},
-    {"super_step", "super-step", nullptr, "true",
-     "coarsen straight-line runs into super-steps (threaded\n"
-     "engine only; preserves verdicts but changes state counts)",
-     /*CacheRelevant=*/true,
-     [](const CheckConfig &C) { return renderBool(C.SuperStep); },
-     [](CheckConfig &C, const std::string &V, std::string &E) {
-       return setBool(V, C.SuperStep, E);
-     }},
     {"sample_every", "sample-every", "<n>", nullptr,
      "sample the exploration time-series every <n> interned\n"
      "states into the report's per-check \"series\" array\n"

@@ -51,8 +51,10 @@ namespace kiss::config {
 
 /// Version of the JSON config schema (the "config_version" member).
 /// Bumped only when a key changes meaning or disappears; adding keys is
-/// backward compatible (old files stay valid).
-inline constexpr unsigned Version = 1;
+/// backward compatible (old files stay valid). Version 2 removed the
+/// threaded engine's opt-in straight-line coarsening key; a v1 file
+/// migrates by deleting that key and setting "config_version": 2.
+inline constexpr unsigned Version = 2;
 
 /// One externally-visible CheckConfig field. The table of these (see
 /// `fields()`) is what keeps the JSON schema, the CLI flags, and the
@@ -67,7 +69,7 @@ struct FieldSpec {
   /// Usage metavar ("<n>"); null for presence flags.
   const char *Arg;
   /// Presence flags only: the canonical text handed to Set when the flag
-  /// appears ("false" for no-alias, "true" for super-step).
+  /// appears ("false" for no-alias, "true" for profile).
   const char *FlagText;
   /// Shared help text (rendered into every tool's usage).
   const char *Help;
@@ -88,7 +90,7 @@ struct FieldSpec {
 const FieldSpec *fields(size_t &Count);
 
 /// Renders \p Cfg as the canonical multi-line JSON object, starting with
-/// "config_version": 1, fields in table order, no trailing newline.
+/// "config_version": Version, fields in table order, no trailing newline.
 std::string toJson(const CheckConfig &Cfg);
 
 /// Applies a parsed JSON object onto \p Cfg (partial update; keys absent

@@ -89,10 +89,6 @@ struct CheckConfig {
   /// encodings, Delta stores parent diffs with keyframes (smaller arena,
   /// identical verdicts and counts).
   rt::StoreMode Store = rt::StoreMode::Flat;
-  /// Threaded engine only: coarsen straight-line thread-local runs into
-  /// super-steps. Off by default — it preserves verdicts but changes
-  /// StatesExplored, breaking interp/threaded count equality.
-  bool SuperStep = false;
   /// Shared budget / recorder / jobs configuration. The recorder also
   /// receives the compile-phase spans of this session's compile() calls.
   rt::CommonOptions Common;

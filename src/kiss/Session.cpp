@@ -36,7 +36,6 @@ CheckResult Session::check(const lang::Program &P) {
   KO.Seq.Progress = Cfg.Progress;
   KO.Seq.Exec = Cfg.Exec;
   KO.Seq.Store = Cfg.Store;
-  KO.Seq.SuperStep = Cfg.SuperStep;
   KO.Seq.SampleEvery = Cfg.SampleEvery;
   KO.Seq.Profile = Cfg.Profile;
   KO.SM = &Ctx->SM;

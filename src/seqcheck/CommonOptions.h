@@ -10,7 +10,8 @@
 /// the fuzzing campaign agree on what "common run configuration" means.
 /// Embedding structs treat these fields as the source of truth: nested
 /// engine options (e.g. SeqOptions::Budget) are overwritten from here at
-/// the entry point.
+/// the entry point. ExploreOptions holds the knobs of the exploration
+/// shell that every explicit-state engine's options extend.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +23,7 @@
 #include <string_view>
 
 namespace kiss::telemetry {
+class Heartbeat;
 class RunRecorder;
 } // namespace kiss::telemetry
 
@@ -108,6 +110,33 @@ inline bool parseStoreMode(std::string_view S, StoreMode &Out) {
     return false;
   return true;
 }
+
+/// The knobs of the exploration shell (rt::Explorer), shared by every
+/// explicit-state engine; seqcheck::SeqOptions and conc::ConcOptions
+/// extend it with their engine's own.
+struct ExploreOptions {
+  /// State budget: the run stops with BoundReason::States once more
+  /// distinct states than this are interned.
+  uint64_t MaxStates = 1'000'000;
+  /// Deadline / memory / cancellation budget, checked from the BFS hot
+  /// loop. A default budget never trips.
+  gov::RunBudget Budget;
+  /// If set, ticked once per expanded state with (distinct states,
+  /// frontier size) — the CLI's --progress heartbeat. Not owned.
+  telemetry::Heartbeat *Progress = nullptr;
+  /// Visited-set storage: full encodings (Flat) or parent diffs with
+  /// keyframes (Delta). Verdicts and counts are identical; only
+  /// ArenaBytes (and speed) differ.
+  StoreMode Store = StoreMode::Flat;
+  /// If nonzero, snapshot an rt::ExplorationSample into
+  /// CheckResult::Series every time the visited-state count crosses a
+  /// multiple of this stride. Samples are keyed by state count and are
+  /// byte-identical across engines (see rt::ExplorationSample).
+  uint64_t SampleEvery = 0;
+  /// Collect the per-CFG-node hot-path profile into CheckResult::Profile.
+  /// Attribution is bit-identical across --exec engines.
+  bool Profile = false;
+};
 
 /// Run configuration shared by every entry point that can fan out over
 /// multiple checks: KissOptions, CorpusRunOptions, and FuzzOptions embed

@@ -1,0 +1,263 @@
+//===- Explorer.h - The one breadth-first exploration shell -----*- C++ -*-===//
+//
+// Part of the KISS reproduction of Qadeer & Wu, PLDI 2004.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// rt::Explorer is the breadth-first search every explicit-state engine
+/// runs: the interpreter and the threaded-code engine (seqcheck) and the
+/// interleaving checker (conc). It owns everything around a state's
+/// expansion, once:
+///
+///  * the visited-set StateStore and the parent links the counterexample
+///    trace is rebuilt from;
+///  * the entry-function check and the root state;
+///  * the state budget, the resource governor, the heartbeat and the
+///    time-series sampling at the top of the loop;
+///  * FrontierPeak, DepthMax, the hot-path profile and the
+///    ExplorationStats filled on every exit path;
+///  * the exit switch over the expansion's StepResult::Kind.
+///
+/// An engine supplies only the expansion of the state whose id is at the
+/// cursor. It is a template parameter of run(), so successor emission is a
+/// direct (inlinable) call, never a virtual one. The engine provides
+///
+///   void root(MachineState Init, std::string &Key);
+///       Encode the initial state into Key (and keep it, if the engine
+///       carries decoded states).
+///   StepResult::Kind expand(uint32_t Id, Explorer::Fault &F);
+///       Expand state Id, calling emit() once per successor and
+///       attribute() once per executed step. Ok and Blocked continue the
+///       search; any other kind ends the run with F's step, message and
+///       location.
+///
+/// Ids are dense in first-seen order and every interned id is expanded
+/// exactly once, in id order, so the FIFO queue is implicit: the frontier
+/// is always Store.size() minus the states popped, and BFS layers are
+/// contiguous id ranges, so depth needs no per-state array. Engines that
+/// carry decoded states keep them in a FIFO aligned with those ids.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef KISS_SEQCHECK_EXPLORER_H
+#define KISS_SEQCHECK_EXPLORER_H
+
+#include "seqcheck/CommonOptions.h"
+#include "seqcheck/Profile.h"
+#include "seqcheck/StateStore.h"
+#include "seqcheck/Step.h"
+#include "telemetry/Telemetry.h"
+
+#include <algorithm>
+#include <cassert>
+#include <chrono>
+#include <string>
+#include <vector>
+
+namespace kiss::rt {
+
+class Explorer {
+public:
+  using StateStore = seqcheck::StateStore;
+
+  /// Where and why an expansion ended the run (error and bound kinds).
+  struct Fault {
+    TraceStep Step; ///< The step that failed; ends the error trace.
+    std::string Message;
+    SourceLoc Loc;
+  };
+
+  /// Counter snapshot taken before a step, for profile attribution.
+  struct Mark {
+    uint64_t Transitions;
+    uint64_t States;
+  };
+
+  Explorer(const lang::Program &P, const cfg::ProgramCFG &CFG,
+           const ExploreOptions &Opts)
+      : P(P), CFG(CFG), Opts(Opts), Store(Opts.Store) {
+    if (Opts.Profile)
+      Prof.enable(CFG);
+  }
+
+  /// Runs the search to completion or to the first error or bound.
+  template <class Engine> CheckResult run(Engine &E);
+
+  /// Interns \p Key, a successor of state \p Parent reached by \p Step.
+  /// \returns true if it is a new state; its id is then the next one.
+  bool emit(std::string_view Key, uint32_t Parent, const TraceStep &Step) {
+    ++R.TransitionsExplored;
+    auto [Id, Inserted] = Store.internChild(Key, Parent);
+    if (!Inserted)
+      return false;
+    assert(Id == Links.size() && "ids are dense in insertion order");
+    (void)Id;
+    Links.push_back(ParentLink{Parent, Step});
+    return true;
+  }
+
+  Mark mark() const { return Mark{R.TransitionsExplored, Store.size()}; }
+
+  /// Attributes the successors emitted since \p M to the CFG node \p Step
+  /// ran (a blocked step counts as an expansion with none).
+  void attribute(const TraceStep &Step, const Mark &M) {
+    if (!Prof.on())
+      return;
+    const uint64_t Trans = R.TransitionsExplored - M.Transitions;
+    Prof.bump(Step.Func, Step.Node, Trans, Trans - (Store.size() - M.States));
+  }
+
+  const StateStore &store() const { return Store; }
+
+private:
+  /// Back-pointer for counterexample reconstruction, indexed by state id.
+  struct ParentLink {
+    uint32_t Parent = StateStore::InvalidId; ///< InvalidId for the root.
+    TraceStep Step;
+  };
+
+  std::vector<TraceStep> rebuildTrace(uint32_t Id, const TraceStep &Last) {
+    std::vector<TraceStep> Trace{Last};
+    for (; Links[Id].Parent != StateStore::InvalidId; Id = Links[Id].Parent)
+      Trace.push_back(Links[Id].Step);
+    std::reverse(Trace.begin(), Trace.end());
+    return Trace;
+  }
+
+  /// Fills the exploration side of the result; every exit goes through
+  /// here, so StatesExplored is Store.size() on all of them.
+  CheckResult finish() {
+    const uint64_t Frontier = Store.size() - Popped;
+    FrontierPeak = std::max(FrontierPeak, Frontier);
+    R.StatesExplored = Store.size();
+    const StateStore::IndexStats &IS = Store.indexStats();
+    R.Exploration.DedupHits = IS.Hits;
+    R.Exploration.HashProbes = IS.Probes;
+    R.Exploration.KeyVerifies = IS.Verifies;
+    R.Exploration.HashCollisions = IS.Collisions;
+    R.Exploration.ArenaBytes = Store.arenaBytes();
+    R.Exploration.IndexBytes = Store.indexBytes();
+    R.Exploration.FrontierPeak = FrontierPeak;
+    R.Exploration.DepthMax = DepthMax;
+    if (Prof.on())
+      R.Profile = Prof.take();
+    if (Opts.Progress)
+      Opts.Progress->finish(Store.size(), Frontier, Store.memoryBytes());
+    return std::move(R);
+  }
+
+  CheckResult bound(gov::BoundReason Why, std::string Message,
+                    SourceLoc Loc = SourceLoc()) {
+    R.Outcome = CheckOutcome::BoundExceeded;
+    R.Bound = Why;
+    R.Message = std::move(Message);
+    R.ErrorLoc = Loc;
+    return finish();
+  }
+
+  /// Deterministic time-series point, keyed by state count: every engine
+  /// reaches the loop top with the same counters at the same pop index,
+  /// so only WallMs differs between them.
+  void sample(uint64_t Frontier, std::chrono::steady_clock::time_point T0) {
+    const StateStore::IndexStats &IS = Store.indexStats();
+    ExplorationSample S;
+    S.States = Store.size();
+    S.Transitions = R.TransitionsExplored;
+    S.DedupHits = IS.Hits;
+    S.Frontier = Frontier;
+    S.ArenaBytes = Store.arenaBytes();
+    S.IndexBytes = Store.indexBytes();
+    S.DepthMax = DepthMax;
+    S.WallMs = std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - T0)
+                   .count();
+    R.Series.push_back(S);
+  }
+
+  const lang::Program &P;
+  const cfg::ProgramCFG &CFG;
+  const ExploreOptions &Opts;
+  StateStore Store;
+  std::vector<ParentLink> Links;
+  ProfileCollector Prof;
+  CheckResult R;
+  uint64_t Popped = 0; ///< States handed to the engine so far.
+  uint64_t FrontierPeak = 0;
+  uint64_t DepthMax = 0;
+};
+
+template <class Engine> CheckResult Explorer::run(Engine &E) {
+  const lang::FuncDecl *Entry = P.getEntryFunction();
+  if (!Entry || Entry->getNumParams() != 0) {
+    R.Outcome = CheckOutcome::RuntimeError;
+    R.Message = "program has no parameterless entry function";
+    return std::move(R);
+  }
+  const auto StartTime = std::chrono::steady_clock::now();
+  {
+    std::string Key;
+    E.root(makeInitialState(P, CFG, P.getFunctionIndex(P.getEntryName())),
+           Key);
+    Store.intern(Key);
+    Links.push_back(ParentLink{});
+  }
+
+  // The governor's fast path is one decrement-and-compare per expanded
+  // state, like the heartbeat's tick.
+  gov::Governor Gov(Opts.Budget);
+  uint64_t NextSample = Opts.SampleEvery;
+  uint32_t LayerEnd = 1; ///< First id of the layer after the cursor's.
+
+  for (uint32_t Cursor = 0; Cursor < Store.size(); ++Cursor) {
+    const uint64_t Frontier = Store.size() - Cursor;
+    FrontierPeak = std::max(FrontierPeak, Frontier);
+    if (Store.size() > Opts.MaxStates)
+      return bound(gov::BoundReason::States,
+                   "state budget of " + std::to_string(Opts.MaxStates) +
+                       " states exceeded");
+    if (Gov.shouldStop(Store.memoryBytes()))
+      return bound(Gov.reason(), Gov.message());
+    if (Opts.Progress)
+      Opts.Progress->tick(Store.size(), Frontier, Store.memoryBytes());
+    if (Opts.SampleEvery && Store.size() >= NextSample) {
+      sample(Frontier, StartTime);
+      NextSample = (Store.size() / Opts.SampleEvery + 1) * Opts.SampleEvery;
+    }
+
+    Popped = Cursor + 1;
+    if (Cursor == LayerEnd) {
+      // The whole previous layer is expanded, so the next one is
+      // exactly the ids interned so far beyond this one's start.
+      ++DepthMax;
+      LayerEnd = static_cast<uint32_t>(Store.size());
+    }
+
+    Fault F;
+    const StepResult::Kind K = E.expand(Cursor, F);
+    switch (K) {
+    case StepResult::Kind::Ok:
+    case StepResult::Kind::Blocked:
+      continue;
+    case StepResult::Kind::AssertFailure:
+    case StepResult::Kind::RuntimeError:
+      R.Outcome = K == StepResult::Kind::AssertFailure
+                      ? CheckOutcome::AssertionFailure
+                      : CheckOutcome::RuntimeError;
+      R.Message = std::move(F.Message);
+      R.ErrorLoc = F.Loc;
+      R.Trace = rebuildTrace(Cursor, F.Step);
+      return finish();
+    case StepResult::Kind::BoundExceeded:
+      // A frame- or thread-count analysis bound.
+      return bound(gov::BoundReason::States, std::move(F.Message), F.Loc);
+    }
+  }
+
+  R.Outcome = CheckOutcome::Safe;
+  return finish();
+}
+
+} // namespace kiss::rt
+
+#endif // KISS_SEQCHECK_EXPLORER_H

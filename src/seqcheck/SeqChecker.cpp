@@ -6,13 +6,9 @@
 
 #include "seqcheck/SeqChecker.h"
 
-#include "seqcheck/Profile.h"
-#include "seqcheck/StateStore.h"
+#include "seqcheck/Explorer.h"
 #include "seqcheck/exec/ThreadedEngine.h"
-#include "telemetry/Telemetry.h"
 
-#include <cassert>
-#include <chrono>
 #include <deque>
 
 using namespace kiss;
@@ -21,23 +17,65 @@ using namespace kiss::seqcheck;
 
 namespace {
 
-/// Back-pointer for counterexample reconstruction, indexed by state id.
-struct ParentLink {
-  uint32_t Parent = StateStore::InvalidId; ///< InvalidId for the root.
-  TraceStep Step;
-};
-
-std::vector<TraceStep> rebuildTrace(const std::vector<ParentLink> &Links,
-                                    uint32_t Id, const TraceStep &Last) {
-  std::vector<TraceStep> Trace;
-  Trace.push_back(Last);
-  while (Links[Id].Parent != StateStore::InvalidId) {
-    Trace.push_back(Links[Id].Step);
-    Id = Links[Id].Parent;
+/// The reference engine: expands each state with the CFG-walking
+/// interpreter (stepThread) on its own decoded copy, independently of the
+/// threaded engine's decode-and-patch path.
+class InterpEngine {
+public:
+  InterpEngine(const lang::Program &P, const cfg::ProgramCFG &CFG,
+               const SeqOptions &Opts)
+      : P(P), CFG(CFG), X(P, CFG, Opts) {
+    SO.AllowAsync = false;
+    SO.MaxFrames = Opts.MaxFrames;
   }
-  std::reverse(Trace.begin(), Trace.end());
-  return Trace;
-}
+
+  CheckResult run() { return X.run(*this); }
+
+  void root(MachineState Init, std::string &Key) {
+    encodeStateInto(Init, Key);
+    Queue.push_back(std::move(Init));
+  }
+
+  StepResult::Kind expand(uint32_t Id, Explorer::Fault &F) {
+    MachineState S = std::move(Queue.front());
+    Queue.pop_front();
+    if (isThreadDone(S, 0))
+      return StepResult::Kind::Ok; // Accepting leaf: the program completed.
+
+    const Frame &Top = S.Threads[0].Frames.back();
+    F.Step = TraceStep{0, Top.Func, Top.PC};
+    const Explorer::Mark M = X.mark();
+    StepResult SR = stepThread(P, CFG, S, 0, SO);
+    switch (SR.K) {
+    case StepResult::Kind::Ok:
+      for (MachineState &NS : SR.Successors) {
+        encodeStateInto(NS, Scratch);
+        if (X.emit(Scratch, Id, F.Step))
+          Queue.push_back(std::move(NS));
+      }
+      [[fallthrough]];
+    case StepResult::Kind::Blocked:
+      // A false assume() on a sequential path silently prunes it (§3: the
+      // program blocks forever; no error).
+      X.attribute(F.Step, M);
+      break;
+    default:
+      F.Message = std::move(SR.Message);
+      F.Loc = SR.ErrorLoc;
+      break;
+    }
+    return SR.K;
+  }
+
+private:
+  const lang::Program &P;
+  const cfg::ProgramCFG &CFG;
+  StepOptions SO;
+  Explorer X;
+  /// Decoded states of the ids not yet expanded, in id order.
+  std::deque<MachineState> Queue;
+  std::string Scratch; ///< Encoding buffer, reused per successor.
+};
 
 } // namespace
 
@@ -46,181 +84,5 @@ CheckResult seqcheck::checkProgram(const lang::Program &P,
                                    const SeqOptions &Opts) {
   if (Opts.Exec == rt::ExecEngine::Threaded)
     return exec::checkProgramThreaded(P, CFG, Opts);
-
-  CheckResult R;
-
-  const lang::FuncDecl *Entry = P.getEntryFunction();
-  if (!Entry || Entry->getNumParams() != 0) {
-    R.Outcome = CheckOutcome::RuntimeError;
-    R.Message = "program has no parameterless entry function";
-    return R;
-  }
-  uint32_t EntryIdx = P.getFunctionIndex(P.getEntryName());
-
-  StepOptions SO;
-  SO.AllowAsync = false;
-  SO.MaxFrames = Opts.MaxFrames;
-
-  struct WorkItem {
-    MachineState S;
-    uint32_t Id;
-    uint32_t Depth; ///< BFS layer (root = 0).
-  };
-
-  StateStore Store(Opts.Store);
-  std::vector<ParentLink> Links;
-  std::deque<WorkItem> Queue;
-  std::string Scratch;
-
-  // Exploration telemetry (rt::ExplorationStats): store-side counters come
-  // from the StateStore at exit; the loop tracks frontier peak and depth.
-  uint64_t FrontierPeak = 1;
-  uint64_t DepthMax = 0;
-  ProfileCollector Prof;
-  if (Opts.Profile)
-    Prof.enable(CFG);
-  auto finish = [&](CheckResult &R) {
-    R.StatesExplored = Store.size();
-    const StateStore::IndexStats &IS = Store.indexStats();
-    R.Exploration.DedupHits = IS.Hits;
-    R.Exploration.HashProbes = IS.Probes;
-    R.Exploration.KeyVerifies = IS.Verifies;
-    R.Exploration.HashCollisions = IS.Collisions;
-    R.Exploration.ArenaBytes = Store.arenaBytes();
-    R.Exploration.IndexBytes = Store.indexBytes();
-    R.Exploration.FrontierPeak = FrontierPeak;
-    R.Exploration.DepthMax = DepthMax;
-    if (Prof.on())
-      R.Profile = Prof.take();
-    if (Opts.Progress)
-      Opts.Progress->finish(Store.size(), Queue.size(),
-                            Store.memoryBytes());
-  };
-
-  // Deterministic time-series: sample at the top of the loop every time
-  // the visited-state count crosses a multiple of SampleEvery. Keyed by
-  // state count, so the threaded engine (whose loop top sees the same
-  // Store.size(), frontier, and counters at the same pop index) produces
-  // the identical series; only WallMs is timing-dependent.
-  const auto StartTime = std::chrono::steady_clock::now();
-  uint64_t NextSample = Opts.SampleEvery;
-  auto takeSample = [&](uint64_t Frontier) {
-    const StateStore::IndexStats &IS = Store.indexStats();
-    ExplorationSample S;
-    S.States = Store.size();
-    S.Transitions = R.TransitionsExplored;
-    S.DedupHits = IS.Hits;
-    S.Frontier = Frontier;
-    S.ArenaBytes = Store.arenaBytes();
-    S.IndexBytes = Store.indexBytes();
-    S.DepthMax = DepthMax;
-    S.WallMs = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - StartTime)
-                   .count();
-    R.Series.push_back(S);
-  };
-
-  MachineState Init = makeInitialState(P, CFG, EntryIdx);
-  encodeStateInto(Init, Scratch);
-  uint32_t InitId = Store.intern(Scratch).first;
-  Links.push_back(ParentLink{});
-  Queue.push_back(WorkItem{std::move(Init), InitId, 0});
-
-  // The resource governor (deadline / memory / cancellation); its fast
-  // path is one decrement-and-compare per expanded state, like the
-  // heartbeat's tick.
-  gov::Governor Gov(Opts.Budget);
-
-  // StatesExplored is the number of distinct states discovered
-  // (= Store.size()) on every exit path.
-  while (!Queue.empty()) {
-    if (Store.size() > Opts.MaxStates) {
-      R.Outcome = CheckOutcome::BoundExceeded;
-      R.Bound = gov::BoundReason::States;
-      R.Message = "state budget of " + std::to_string(Opts.MaxStates) +
-                  " states exceeded";
-      finish(R);
-      return R;
-    }
-    if (Gov.shouldStop(Store.memoryBytes())) {
-      R.Outcome = CheckOutcome::BoundExceeded;
-      R.Bound = Gov.reason();
-      R.Message = Gov.message();
-      finish(R);
-      return R;
-    }
-    if (Opts.Progress)
-      Opts.Progress->tick(Store.size(), Queue.size(), Store.memoryBytes());
-    if (Opts.SampleEvery && Store.size() >= NextSample) {
-      takeSample(Queue.size());
-      NextSample = (Store.size() / Opts.SampleEvery + 1) * Opts.SampleEvery;
-    }
-
-    WorkItem Item = std::move(Queue.front());
-    Queue.pop_front();
-    MachineState &S = Item.S;
-    uint32_t Id = Item.Id;
-    if (Item.Depth > DepthMax)
-      DepthMax = Item.Depth;
-
-    if (isThreadDone(S, 0))
-      continue; // Accepting leaf: the program ran to completion.
-
-    const Frame &Top = S.Threads[0].Frames.back();
-    TraceStep Step{0, Top.Func, Top.PC};
-
-    StepResult SR = stepThread(P, CFG, S, 0, SO);
-    switch (SR.K) {
-    case StepResult::Kind::Blocked:
-      // assume() false on a sequential path: the path is silently pruned
-      // (§3: the program blocks forever; no error).
-      if (Prof.on())
-        Prof.bump(Step.Func, Step.Node, 0, 0);
-      continue;
-
-    case StepResult::Kind::AssertFailure:
-    case StepResult::Kind::RuntimeError:
-      R.Outcome = SR.K == StepResult::Kind::AssertFailure
-                      ? CheckOutcome::AssertionFailure
-                      : CheckOutcome::RuntimeError;
-      R.Message = SR.Message;
-      R.ErrorLoc = SR.ErrorLoc;
-      R.Trace = rebuildTrace(Links, Id, Step);
-      finish(R);
-      return R;
-
-    case StepResult::Kind::BoundExceeded:
-      R.Outcome = CheckOutcome::BoundExceeded;
-      R.Bound = gov::BoundReason::States; // Frame/thread analysis bound.
-      R.Message = SR.Message;
-      R.ErrorLoc = SR.ErrorLoc;
-      finish(R);
-      return R;
-
-    case StepResult::Kind::Ok: {
-      uint64_t NewStates = 0;
-      for (MachineState &NS : SR.Successors) {
-        ++R.TransitionsExplored;
-        encodeStateInto(NS, Scratch);
-        auto [NId, Inserted] = Store.internChild(Scratch, Id);
-        if (!Inserted)
-          continue;
-        ++NewStates;
-        assert(NId == Links.size() && "ids are dense in insertion order");
-        Links.push_back(ParentLink{Id, Step});
-        Queue.push_back(WorkItem{std::move(NS), NId, Item.Depth + 1});
-      }
-      if (Prof.on())
-        Prof.bump(Step.Func, Step.Node, SR.Successors.size(),
-                  SR.Successors.size() - NewStates);
-      if (Queue.size() > FrontierPeak)
-        FrontierPeak = Queue.size();
-      break;
-    }
-    }
-  }
-
-  R.Outcome = CheckOutcome::Safe;
-  finish(R);
-  return R;
+  return InterpEngine(P, CFG, Opts).run();
 }

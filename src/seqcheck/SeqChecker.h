@@ -21,48 +21,19 @@
 #include "seqcheck/CommonOptions.h"
 #include "seqcheck/Result.h"
 #include "seqcheck/Step.h"
-#include "support/Governor.h"
-
-namespace kiss::telemetry {
-class Heartbeat;
-} // namespace kiss::telemetry
 
 namespace kiss::seqcheck {
 
-/// Budgets for one sequential run: the state budget approximates the
-/// paper's 20-minute/800MB resource bound structurally; Budget enforces
-/// it literally (wall-clock deadline, byte budget, cancellation).
-struct SeqOptions {
-  uint64_t MaxStates = 1'000'000;
+/// Options for one sequential run: the shell's knobs (state budget,
+/// governor, heartbeat, store, series, profile) plus the engine's own. The
+/// state budget approximates the paper's 20-minute/800MB resource bound
+/// structurally; Budget enforces it literally.
+struct SeqOptions : rt::ExploreOptions {
   uint32_t MaxFrames = 256;
-  /// Deadline / memory / cancellation budget, checked from the BFS hot
-  /// loop. A default budget never trips.
-  gov::RunBudget Budget;
-  /// If set, ticked once per expanded state with (distinct states,
-  /// frontier size) — the CLI's --progress heartbeat. Not owned.
-  telemetry::Heartbeat *Progress = nullptr;
   /// Which execution engine runs the exploration. Both produce
   /// bit-identical results (see rt::ExecEngine); Threaded is the fast
   /// default, Interp the reference oracle.
   rt::ExecEngine Exec = rt::ExecEngine::Threaded;
-  /// Visited-set storage: full encodings (Flat) or parent diffs with
-  /// keyframes (Delta). Verdicts and counts are identical; only
-  /// ArenaBytes (and speed) differ.
-  rt::StoreMode Store = rt::StoreMode::Flat;
-  /// Threaded engine only: coarsen straight-line runs of deterministic,
-  /// error-free thread-local operations into one super-step, skipping the
-  /// interning of intermediate states. Verdicts are preserved, but
-  /// StatesExplored and traces are coarser, so this is opt-in and off by
-  /// default (it breaks interp/threaded count equality).
-  bool SuperStep = false;
-  /// If nonzero, snapshot an rt::ExplorationSample into
-  /// CheckResult::Series every time the visited-state count crosses a
-  /// multiple of this stride. Samples are keyed by state count and are
-  /// byte-identical across engines (see rt::ExplorationSample).
-  uint64_t SampleEvery = 0;
-  /// Collect the per-CFG-node hot-path profile into CheckResult::Profile.
-  /// Attribution is bit-identical across --exec engines.
-  bool Profile = false;
 };
 
 /// Model checks sequential core program \p P (entry: Program entry

@@ -7,13 +7,9 @@
 #include "seqcheck/exec/ThreadedEngine.h"
 
 #include "seqcheck/Eval.h"
-#include "seqcheck/Profile.h"
-#include "seqcheck/StateStore.h"
-#include "telemetry/Telemetry.h"
+#include "seqcheck/Explorer.h"
 
-#include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstring>
 
 using namespace kiss;
@@ -58,8 +54,6 @@ enum class OpCode : uint8_t {
 /// time; the hot loop never walks the AST except to evaluate expressions.
 struct Op {
   OpCode Code = OpCode::Trap;
-  /// Super-step-chainable: deterministic, single-successor, cannot fail.
-  bool Chain = false;
   /// AssignVar only: evaluating RHS cannot allocate (RHS is not `new`), so
   /// a scalar result may be patched into the parent key in place.
   bool NoAlloc = false;
@@ -80,28 +74,6 @@ struct FuncInfo {
   uint32_t NumLocals = 0;
   const Type *RetTy = nullptr;
 };
-
-/// Straight-line coarsening bound: a super-step chains at most this many
-/// chainable ops before interning (prevents unbounded work on Nop cycles).
-constexpr unsigned SuperStepCap = 64;
-
-/// Back-pointer for counterexample reconstruction, indexed by state id.
-struct ParentLink {
-  uint32_t Parent = StateStore::InvalidId; ///< InvalidId for the root.
-  TraceStep Step;
-};
-
-std::vector<TraceStep> rebuildTrace(const std::vector<ParentLink> &Links,
-                                    uint32_t Id, const TraceStep &Last) {
-  std::vector<TraceStep> Trace;
-  Trace.push_back(Last);
-  while (Links[Id].Parent != StateStore::InvalidId) {
-    Trace.push_back(Links[Id].Step);
-    Id = Links[Id].Parent;
-  }
-  std::reverse(Trace.begin(), Trace.end());
-  return Trace;
-}
 
 /// Appends a u32 in the canonical-key format at cursor \p C, which must
 /// point into a buffer with room for it.
@@ -128,59 +100,42 @@ void putKeyValue(char *&C, const Value &V) {
   C += 9;
 }
 
-bool isAtomExpr(const Expr *E) {
-  switch (E->getKind()) {
-  case ExprKind::IntLit:
-  case ExprKind::BoolLit:
-  case ExprKind::NullLit:
-  case ExprKind::VarRef:
-  case ExprKind::FuncRef:
-    return true;
-  default:
-    return false;
-  }
-}
-
 class ThreadedEngine {
 public:
   ThreadedEngine(const Program &P, const cfg::ProgramCFG &CFG,
                  const SeqOptions &Opts)
-      : P(P), CFG(CFG), Opts(Opts), Store(Opts.Store) {}
+      : P(P), CFG(CFG), Opts(Opts), X(P, CFG, Opts) {
+    lower();
+  }
 
-  CheckResult run();
+  CheckResult run() { return X.run(*this); }
+
+  void root(MachineState Init, std::string &Key) {
+    encodeStateInto(Init, Key);
+  }
+
+  /// Decodes state \p Id from its key into W and executes its op.
+  StepResult::Kind expand(uint32_t Id, Explorer::Fault &F);
 
 private:
   void lower();
   Op lowerNode(const cfg::Node &N) const;
 
-  /// Expands the working state W (already decoded, thread 0 live) whose id
-  /// is \p Id. Successors are interned via emit(). On an error/bound
-  /// outcome EMsg/ELoc carry the details.
-  StepResult::Kind expand(uint32_t Id, uint32_t Depth,
-                          const TraceStep &Step);
+  /// Executes the op at thread 0's PC in the decoded working state W
+  /// (state \p Id), reached by step F.Step. Successors are interned via
+  /// emit()/emitKey(); an error or bound outcome fills F.
+  StepResult::Kind exec(uint32_t Id, Explorer::Fault &F);
 
   /// Interns the current working state as a successor of \p Id.
-  void emit(uint32_t Id, uint32_t Depth, const TraceStep &Step) {
-    ++R.TransitionsExplored;
+  void emit(uint32_t Id, const TraceStep &Step) {
     encodeStateInto(W, Scratch);
-    record(Store.internChild(Scratch, Id), Id, Depth, Step);
+    X.emit(Scratch, Id, Step);
   }
 
   /// Interns PKey — the parent's key with successor bytes already patched
   /// in place — as a successor of \p Id. The fast path: no re-encoding.
-  void emitKey(uint32_t Id, uint32_t Depth, const TraceStep &Step) {
-    ++R.TransitionsExplored;
-    record(Store.internChild(PKey, Id), Id, Depth, Step);
-  }
-
-  void record(std::pair<uint32_t, bool> Interned, uint32_t Id,
-              uint32_t Depth, const TraceStep &Step) {
-    if (!Interned.second)
-      return;
-    assert(Interned.first == Links.size() &&
-           "ids are dense in insertion order");
-    Links.push_back(ParentLink{Id, Step});
-    Depths.push_back(Depth + 1);
+  void emitKey(uint32_t Id, const TraceStep &Step) {
+    X.emit(PKey, Id, Step);
   }
 
   //===--- In-place key patching ---===//
@@ -218,45 +173,12 @@ private:
                          : W.Threads[0].Frames.back().Locals[Id.Index];
   }
 
-  /// Opt-in super-step: after a single-successor op has repositioned the
-  /// working state, keep executing chainable ops in place (no interning of
-  /// the intermediate states) before the successor is encoded.
-  void chase() {
-    Thread &T0 = W.Threads[0];
-    for (unsigned Steps = 0; Steps != SuperStepCap; ++Steps) {
-      Frame &Top = T0.Frames.back();
-      const Op &J = Ops[FuncBase[Top.Func] + Top.PC];
-      if (!J.Chain)
-        return;
-      switch (J.Code) {
-      case OpCode::Jump:
-        break;
-      case OpCode::AtomicBegin:
-        ++T0.AtomicDepth;
-        break;
-      case OpCode::AtomicEnd:
-        assert(T0.AtomicDepth > 0 && "unbalanced atomic brackets");
-        --T0.AtomicDepth;
-        break;
-      case OpCode::AssignVar: {
-        // Chainable assigns have atom RHS: evaluation cannot fail.
-        Machine M(P, W, 0);
-        Value V;
-        M.evalAtom(J.RHS, V);
-        M.writeVar(J.Dst, V);
-        break;
-      }
-      default:
-        return;
-      }
-      T0.Frames.back().PC = J.Succ0;
-    }
-  }
-
-  StepResult::Kind err(std::string Msg, const Op &I) {
-    EMsg = std::move(Msg);
-    ELoc = I.S ? I.S->getLoc() : SourceLoc();
-    return StepResult::Kind::RuntimeError;
+  static StepResult::Kind
+  err(Explorer::Fault &F, std::string Msg, const Op &I,
+      StepResult::Kind K = StepResult::Kind::RuntimeError) {
+    F.Message = std::move(Msg);
+    F.Loc = I.S ? I.S->getLoc() : SourceLoc();
+    return K;
   }
 
   const Program &P;
@@ -267,17 +189,11 @@ private:
   std::vector<uint32_t> FuncBase; ///< Function -> offset into Ops.
   std::vector<FuncInfo> Funcs;
 
-  StateStore Store;
-  std::vector<ParentLink> Links;
-  std::vector<uint32_t> Depths; ///< BFS layer per state id.
-  std::string Scratch;          ///< Encoding buffer, reused per intern.
-  MachineState W;               ///< The one working state, reused per pop.
-  std::string PKey;             ///< The popped key, patched per successor.
-  KeyLayout Layout;             ///< Patch offsets into PKey.
-
-  CheckResult R;
-  std::string EMsg;
-  SourceLoc ELoc;
+  Explorer X;
+  std::string Scratch; ///< Encoding buffer, reused per intern.
+  MachineState W;      ///< The one working state, reused per pop.
+  std::string PKey;    ///< The popped key, patched per successor.
+  KeyLayout Layout;    ///< Patch offsets into PKey.
 };
 
 void ThreadedEngine::lower() {
@@ -311,17 +227,14 @@ Op ThreadedEngine::lowerNode(const cfg::Node &N) const {
   switch (N.Kind) {
   case cfg::NodeKind::Nop:
     O.Code = N.Succs.size() == 1 ? OpCode::Jump : OpCode::Branch;
-    O.Chain = N.Succs.size() == 1;
     return O;
 
   case cfg::NodeKind::AtomicBegin:
     O.Code = OpCode::AtomicBegin;
-    O.Chain = true;
     return O;
 
   case cfg::NodeKind::AtomicEnd:
     O.Code = OpCode::AtomicEnd;
-    O.Chain = true;
     return O;
 
   case cfg::NodeKind::Stmt:
@@ -343,7 +256,6 @@ Op ThreadedEngine::lowerNode(const cfg::Node &N) const {
         O.Code = OpCode::AssignVar;
         O.Dst = LV->getVarId();
         O.RHS = A->getRHS();
-        O.Chain = isAtomExpr(A->getRHS());
         // `new` is the only single-valued RHS that mutates the state
         // (and only ever as the whole RHS — atoms cannot nest it).
         O.NoAlloc = A->getRHS()->getKind() != ExprKind::New;
@@ -367,7 +279,6 @@ Op ThreadedEngine::lowerNode(const cfg::Node &N) const {
       return O;
     case StmtKind::Skip:
       O.Code = OpCode::Jump;
-      O.Chain = true;
       return O;
     default:
       O.Code = OpCode::Trap;
@@ -392,8 +303,8 @@ Op ThreadedEngine::lowerNode(const cfg::Node &N) const {
   return O;
 }
 
-StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
-                                        const TraceStep &Step) {
+StepResult::Kind ThreadedEngine::exec(uint32_t Id, Explorer::Fault &F) {
+  const TraceStep &Step = F.Step;
   Thread &T0 = W.Threads[0];
   const Op &I = Ops[FuncBase[T0.Frames.back().Func] + T0.Frames.back().PC];
 
@@ -409,56 +320,36 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
   switch (I.Code) {
   case OpCode::Jump:
     KISS_OP(L_Jump) {
-      if (!Opts.SuperStep) {
-        patchPC(I.Succ0);
-        emitKey(Id, Depth, Step);
-        return StepResult::Kind::Ok;
-      }
-      T0.Frames.back().PC = I.Succ0;
-      chase();
-      emit(Id, Depth, Step);
+      patchPC(I.Succ0);
+      emitKey(Id, Step);
       return StepResult::Kind::Ok;
     }
 
   case OpCode::Branch:
     KISS_OP(L_Branch) {
-      // PC is the only difference between successors (branches never
-      // chase), so each one is a patch of the same four key bytes.
+      // PC is the only difference between successors, so each one is a
+      // patch of the same four key bytes.
       for (uint32_t K = 0; K != I.NSuccs; ++K) {
         patchPC(I.Succs[K]);
-        emitKey(Id, Depth, Step);
+        emitKey(Id, Step);
       }
       return StepResult::Kind::Ok;
     }
 
   case OpCode::AtomicBegin:
     KISS_OP(L_AtomicBegin) {
-      if (!Opts.SuperStep) {
-        patchPC(I.Succ0);
-        patchU32(Layout.AtomicOff, T0.AtomicDepth + 1);
-        emitKey(Id, Depth, Step);
-        return StepResult::Kind::Ok;
-      }
-      T0.Frames.back().PC = I.Succ0;
-      ++T0.AtomicDepth;
-      chase();
-      emit(Id, Depth, Step);
+      patchPC(I.Succ0);
+      patchU32(Layout.AtomicOff, T0.AtomicDepth + 1);
+      emitKey(Id, Step);
       return StepResult::Kind::Ok;
     }
 
   case OpCode::AtomicEnd:
     KISS_OP(L_AtomicEnd) {
       assert(T0.AtomicDepth > 0 && "unbalanced atomic brackets");
-      if (!Opts.SuperStep) {
-        patchPC(I.Succ0);
-        patchU32(Layout.AtomicOff, T0.AtomicDepth - 1);
-        emitKey(Id, Depth, Step);
-        return StepResult::Kind::Ok;
-      }
-      T0.Frames.back().PC = I.Succ0;
-      --T0.AtomicDepth;
-      chase();
-      emit(Id, Depth, Step);
+      patchPC(I.Succ0);
+      patchU32(Layout.AtomicOff, T0.AtomicDepth - 1);
+      emitKey(Id, Step);
       return StepResult::Kind::Ok;
     }
 
@@ -467,19 +358,17 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
       Machine M(P, W, 0);
       Value V;
       if (!M.evalSingleRHS(I.RHS, V))
-        return err(std::move(M.Error), I);
-      if (!Opts.SuperStep && I.NoAlloc && V.K != ValueKind::Ptr &&
+        return err(F, std::move(M.Error), I);
+      if (I.NoAlloc && V.K != ValueKind::Ptr &&
           varIn(I.Dst).K != ValueKind::Ptr) {
         patchValue(varOff(I.Dst), V);
         patchPC(I.Succ0);
-        emitKey(Id, Depth, Step);
+        emitKey(Id, Step);
         return StepResult::Kind::Ok;
       }
       M.writeVar(I.Dst, V);
       T0.Frames.back().PC = I.Succ0;
-      if (Opts.SuperStep)
-        chase();
-      emit(Id, Depth, Step);
+      emit(Id, Step);
       return StepResult::Kind::Ok;
     }
 
@@ -490,33 +379,30 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
       MemAddr A;
       if (!M.evalSingleRHS(I.RHS, V) || !M.evalLValueAddr(I.LHS, A) ||
           !M.writeAddr(A, V))
-        return err(std::move(M.Error), I);
+        return err(F, std::move(M.Error), I);
       T0.Frames.back().PC = I.Succ0;
-      if (Opts.SuperStep)
-        chase();
-      emit(Id, Depth, Step);
+      emit(Id, Step);
       return StepResult::Kind::Ok;
     }
 
   case OpCode::NondetBool:
     KISS_OP(L_NondetBool) {
       // False then true, matching the interpreter's successor order.
-      // Nondet never chases, so the patch path is valid in every mode.
       if (varIn(I.Dst).K != ValueKind::Ptr) {
         patchPC(I.Succ0);
         const uint32_t Off = varOff(I.Dst);
         patchValue(Off, Value::makeBool(false));
-        emitKey(Id, Depth, Step);
+        emitKey(Id, Step);
         patchValue(Off, Value::makeBool(true));
-        emitKey(Id, Depth, Step);
+        emitKey(Id, Step);
         return StepResult::Kind::Ok;
       }
       T0.Frames.back().PC = I.Succ0;
       Machine M(P, W, 0);
       M.writeVar(I.Dst, Value::makeBool(false));
-      emit(Id, Depth, Step);
+      emit(Id, Step);
       M.writeVar(I.Dst, Value::makeBool(true));
-      emit(Id, Depth, Step);
+      emit(Id, Step);
       return StepResult::Kind::Ok;
     }
 
@@ -527,7 +413,7 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
         const uint32_t Off = varOff(I.Dst);
         for (int64_t V = I.Lo; V <= I.Hi; ++V) {
           patchValue(Off, Value::makeInt(V));
-          emitKey(Id, Depth, Step);
+          emitKey(Id, Step);
         }
         return StepResult::Kind::Ok;
       }
@@ -535,7 +421,7 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
       Machine M(P, W, 0);
       for (int64_t V = I.Lo; V <= I.Hi; ++V) {
         M.writeVar(I.Dst, Value::makeInt(V));
-        emit(Id, Depth, Step);
+        emit(Id, Step);
       }
       return StepResult::Kind::Ok;
     }
@@ -545,20 +431,12 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
       Machine M(P, W, 0);
       bool Cond;
       if (!M.evalCondition(I.RHS, Cond))
-        return err(std::move(M.Error), I);
-      if (!Cond) {
-        EMsg = "assertion failed";
-        ELoc = I.S ? I.S->getLoc() : SourceLoc();
-        return StepResult::Kind::AssertFailure;
-      }
-      if (!Opts.SuperStep) {
-        patchPC(I.Succ0);
-        emitKey(Id, Depth, Step);
-        return StepResult::Kind::Ok;
-      }
-      T0.Frames.back().PC = I.Succ0;
-      chase();
-      emit(Id, Depth, Step);
+        return err(F, std::move(M.Error), I);
+      if (!Cond)
+        return err(F, "assertion failed", I,
+                   StepResult::Kind::AssertFailure);
+      patchPC(I.Succ0);
+      emitKey(Id, Step);
       return StepResult::Kind::Ok;
     }
 
@@ -567,38 +445,30 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
       Machine M(P, W, 0);
       bool Cond;
       if (!M.evalCondition(I.RHS, Cond))
-        return err(std::move(M.Error), I);
+        return err(F, std::move(M.Error), I);
       if (!Cond)
         return StepResult::Kind::Blocked;
-      if (!Opts.SuperStep) {
-        patchPC(I.Succ0);
-        emitKey(Id, Depth, Step);
-        return StepResult::Kind::Ok;
-      }
-      T0.Frames.back().PC = I.Succ0;
-      chase();
-      emit(Id, Depth, Step);
+      patchPC(I.Succ0);
+      emitKey(Id, Step);
       return StepResult::Kind::Ok;
     }
 
   case OpCode::Async:
     KISS_OP(L_Async) {
-      return err("async statement in a sequential program", I);
+      return err(F, "async statement in a sequential program", I);
     }
 
   case OpCode::Trap:
     KISS_OP(L_Trap) {
-      return err("unexpected statement kind in a Stmt node", I);
+      return err(F, "unexpected statement kind in a Stmt node", I);
     }
 
   case OpCode::Call:
     KISS_OP(L_Call) {
-      if (T0.Frames.size() >= Opts.MaxFrames) {
-        EMsg = "stack depth bound exceeded";
-        ELoc = I.S ? I.S->getLoc() : SourceLoc();
-        return StepResult::Kind::BoundExceeded;
-      }
-      if (!Opts.SuperStep && W.Threads.size() == 1) {
+      if (T0.Frames.size() >= Opts.MaxFrames)
+        return err(F, "stack depth bound exceeded", I,
+                   StepResult::Kind::BoundExceeded);
+      if (W.Threads.size() == 1) {
         // Fast path: with one thread the top frame is the final record of
         // the key, so a call is "append the callee's frame record". Arg
         // atoms are read from the unmutated parent state, whose heap
@@ -609,7 +479,7 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
         Machine M(P, W, 0);
         uint32_t Callee;
         if (!resolveCallee(M, I.CallE->getCallee(), P, Callee))
-          return err(std::move(M.Error), I);
+          return err(F, std::move(M.Error), I);
         const FuncInfo &FI = Funcs[Callee];
         const auto &Args = I.CallE->getArgs();
         const size_t Base = PKey.size();
@@ -624,7 +494,7 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
           Value V;
           if (!M.evalAtom(Args[K].get(), V)) {
             PKey.resize(Base);
-            return err(std::move(M.Error), I);
+            return err(F, std::move(M.Error), I);
           }
           putKeyValue(C, V);
         }
@@ -634,14 +504,14 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
         patchPC(I.Succ0); // Caller resumes after the call.
         patchU32(Layout.AtomicOff + 4,
                  static_cast<uint32_t>(T0.Frames.size()) + 1);
-        emitKey(Id, Depth, Step);
+        emitKey(Id, Step);
         return StepResult::Kind::Ok;
       }
       T0.Frames.back().PC = I.Succ0; // Caller resumes after the call.
       Machine M(P, W, 0);
       uint32_t Callee;
       if (!resolveCallee(M, I.CallE->getCallee(), P, Callee))
-        return err(std::move(M.Error), I);
+        return err(F, std::move(M.Error), I);
       const FuncInfo &FI = Funcs[Callee];
       Frame NF;
       NF.Func = Callee;
@@ -651,13 +521,11 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
       for (unsigned K = 0, E = I.CallE->getArgs().size(); K != E; ++K) {
         Value V;
         if (!M.evalAtom(I.CallE->getArgs()[K].get(), V))
-          return err(std::move(M.Error), I);
+          return err(F, std::move(M.Error), I);
         NF.Locals[K] = V;
       }
       T0.Frames.push_back(std::move(NF));
-      if (Opts.SuperStep)
-        chase();
-      emit(Id, Depth, Step);
+      emit(Id, Step);
       return StepResult::Kind::Ok;
     }
 
@@ -666,9 +534,9 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
       Machine M(P, W, 0);
       Value Ret = defaultValue(Funcs[T0.Frames.back().Func].RetTy);
       if (I.RHS && !M.evalAtom(I.RHS, Ret))
-        return err(std::move(M.Error), I);
+        return err(F, std::move(M.Error), I);
       VarId RetVar = T0.Frames.back().RetVar;
-      if (!Opts.SuperStep && W.Threads.size() == 1) {
+      if (W.Threads.size() == 1) {
         // Fast path: truncate the top frame record off the key. Valid only
         // when the popped locals hold no heap pointers — the popped frame
         // is the last reachability root, so dropping it can only orphan
@@ -698,187 +566,41 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
             patchValue(RetVar.isGlobal() ? Layout.GlobalOff[RetVar.Index]
                                          : Layout.PrevLocalOff[RetVar.Index],
                        Ret);
-          emitKey(Id, Depth, Step);
+          emitKey(Id, Step);
           return StepResult::Kind::Ok;
         }
       }
       T0.Frames.pop_back();
       if (!T0.Frames.empty() && RetVar.isResolved())
         M.writeVar(RetVar, Ret); // Acts on the caller's top frame.
-      if (Opts.SuperStep && !T0.Frames.empty())
-        chase();
-      emit(Id, Depth, Step);
+      emit(Id, Step);
       return StepResult::Kind::Ok;
     }
   }
-  return err("unknown CFG node kind", Ops[0]);
+  return err(F, "unknown CFG node kind", Ops[0]);
 }
 
-CheckResult ThreadedEngine::run() {
-  const FuncDecl *Entry = P.getEntryFunction();
-  if (!Entry || Entry->getNumParams() != 0) {
-    R.Outcome = CheckOutcome::RuntimeError;
-    R.Message = "program has no parameterless entry function";
-    return R;
-  }
-  uint32_t EntryIdx = P.getFunctionIndex(P.getEntryName());
-
-  lower();
-
-  uint64_t FrontierPeak = 1;
-  uint64_t DepthMax = 0;
-  uint64_t PopCursor = 0; ///< States popped so far, for the heartbeat.
-  ProfileCollector Prof;
-  if (Opts.Profile)
-    Prof.enable(CFG);
-  auto finish = [&](CheckResult &R) {
-    R.StatesExplored = Store.size();
-    const StateStore::IndexStats &IS = Store.indexStats();
-    R.Exploration.DedupHits = IS.Hits;
-    R.Exploration.HashProbes = IS.Probes;
-    R.Exploration.KeyVerifies = IS.Verifies;
-    R.Exploration.HashCollisions = IS.Collisions;
-    R.Exploration.ArenaBytes = Store.arenaBytes();
-    R.Exploration.IndexBytes = Store.indexBytes();
-    R.Exploration.FrontierPeak = FrontierPeak;
-    R.Exploration.DepthMax = DepthMax;
-    if (Prof.on())
-      R.Profile = Prof.take();
-    if (Opts.Progress)
-      Opts.Progress->finish(Store.size(), Store.size() - PopCursor,
-                            Store.memoryBytes());
-  };
-
-  // Deterministic time-series, mirroring the interpreter: sampled at the
-  // top of the pop loop, where Store.size(), the frontier
-  // (Store.size() - Cursor == the interpreter's Queue.size()), and every
-  // counter agree with the interpreter at the same pop index.
-  const auto StartTime = std::chrono::steady_clock::now();
-  uint64_t NextSample = Opts.SampleEvery;
-  auto takeSample = [&](uint64_t Frontier) {
-    const StateStore::IndexStats &IS = Store.indexStats();
-    ExplorationSample S;
-    S.States = Store.size();
-    S.Transitions = R.TransitionsExplored;
-    S.DedupHits = IS.Hits;
-    S.Frontier = Frontier;
-    S.ArenaBytes = Store.arenaBytes();
-    S.IndexBytes = Store.indexBytes();
-    S.DepthMax = DepthMax;
-    S.WallMs = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - StartTime)
-                   .count();
-    R.Series.push_back(S);
-  };
-
+StepResult::Kind ThreadedEngine::expand(uint32_t Id, Explorer::Fault &F) {
+  // Copy the popped key into the patch buffer: successor interns may grow
+  // the arena (or, in delta mode, reuse the materialization scratch), so
+  // the KeyRef view cannot outlive them.
   {
-    MachineState Init = makeInitialState(P, CFG, EntryIdx);
-    encodeStateInto(Init, Scratch);
-    Store.intern(Scratch);
-    Links.push_back(ParentLink{});
-    Depths.push_back(0);
+    StateStore::KeyRef K = X.store().key(Id);
+    PKey.assign(K.data(), K.size());
   }
+  decodeStateInto(PKey, W, Layout);
+  if (W.Threads[0].Frames.empty())
+    return StepResult::Kind::Ok; // Accepting leaf: the program completed.
 
-  gov::Governor Gov(Opts.Budget);
-
-  // The BFS queue is implicit: ids are assigned in first-seen order and
-  // expanded in id order, which is exactly the interpreter's FIFO order.
-  for (uint32_t Cursor = 0; Cursor < Store.size(); ++Cursor) {
-    PopCursor = Cursor + 1;
-    if (Store.size() > Opts.MaxStates) {
-      R.Outcome = CheckOutcome::BoundExceeded;
-      R.Bound = gov::BoundReason::States;
-      R.Message = "state budget of " + std::to_string(Opts.MaxStates) +
-                  " states exceeded";
-      finish(R);
-      return R;
-    }
-    if (Gov.shouldStop(Store.memoryBytes())) {
-      R.Outcome = CheckOutcome::BoundExceeded;
-      R.Bound = Gov.reason();
-      R.Message = Gov.message();
-      finish(R);
-      return R;
-    }
-    if (Opts.Progress)
-      Opts.Progress->tick(Store.size(), Store.size() - Cursor,
-                          Store.memoryBytes());
-    if (Opts.SampleEvery && Store.size() >= NextSample) {
-      takeSample(Store.size() - Cursor);
-      NextSample = (Store.size() / Opts.SampleEvery + 1) * Opts.SampleEvery;
-    }
-
-    // Copy the popped key into the patch buffer: successor interns may
-    // grow the arena (or, in delta mode, reuse the materialization
-    // scratch), so the KeyRef view cannot outlive them.
-    {
-      StateStore::KeyRef K = Store.key(Cursor);
-      PKey.assign(K.data(), K.size());
-    }
-    decodeStateInto(PKey, W, Layout);
-    uint32_t Depth = Depths[Cursor];
-    if (Depth > DepthMax)
-      DepthMax = Depth;
-
-    if (W.Threads[0].Frames.empty())
-      continue; // Accepting leaf: the program ran to completion.
-
-    const Frame &Top = W.Threads[0].Frames.back();
-    TraceStep Step{0, Top.Func, Top.PC};
-
-    // Profile attribution: transitions/new states emitted by this
-    // expansion, recovered as counter deltas around expand(). Bumped only
-    // on the Ok and Blocked outcomes — error outcomes return the run
-    // immediately in both engines, so attribution stays bit-identical
-    // with the interpreter's per-successor accounting.
-    const uint64_t ProfTransBase = R.TransitionsExplored;
-    const uint64_t ProfStatesBase = Store.size();
-
-    switch (expand(Cursor, Depth, Step)) {
-    case StepResult::Kind::Blocked:
-      if (Prof.on())
-        Prof.bump(Step.Func, Step.Node, 0, 0);
-      continue;
-
-    case StepResult::Kind::AssertFailure:
-      R.Outcome = CheckOutcome::AssertionFailure;
-      R.Message = std::move(EMsg);
-      R.ErrorLoc = ELoc;
-      R.Trace = rebuildTrace(Links, Cursor, Step);
-      finish(R);
-      return R;
-
-    case StepResult::Kind::RuntimeError:
-      R.Outcome = CheckOutcome::RuntimeError;
-      R.Message = std::move(EMsg);
-      R.ErrorLoc = ELoc;
-      R.Trace = rebuildTrace(Links, Cursor, Step);
-      finish(R);
-      return R;
-
-    case StepResult::Kind::BoundExceeded:
-      R.Outcome = CheckOutcome::BoundExceeded;
-      R.Bound = gov::BoundReason::States; // Frame/thread analysis bound.
-      R.Message = std::move(EMsg);
-      R.ErrorLoc = ELoc;
-      finish(R);
-      return R;
-
-    case StepResult::Kind::Ok:
-      if (Prof.on()) {
-        const uint64_t Trans = R.TransitionsExplored - ProfTransBase;
-        const uint64_t NewStates = Store.size() - ProfStatesBase;
-        Prof.bump(Step.Func, Step.Node, Trans, Trans - NewStates);
-      }
-      if (Store.size() - (Cursor + 1) > FrontierPeak)
-        FrontierPeak = Store.size() - (Cursor + 1);
-      break;
-    }
-  }
-
-  R.Outcome = CheckOutcome::Safe;
-  finish(R);
-  return R;
+  const Frame &Top = W.Threads[0].Frames.back();
+  F.Step = TraceStep{0, Top.Func, Top.PC};
+  // Error outcomes end the run in every engine, so only Ok and Blocked
+  // expansions are attributed, as in the interpreter.
+  const Explorer::Mark M = X.mark();
+  StepResult::Kind K = exec(Id, F);
+  if (K == StepResult::Kind::Ok || K == StepResult::Kind::Blocked)
+    X.attribute(F.Step, M);
+  return K;
 }
 
 } // namespace

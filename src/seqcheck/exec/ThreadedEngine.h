@@ -7,12 +7,12 @@
 /// \file
 /// The fast sequential execution engine (rt::ExecEngine::Threaded): the
 /// program CFG is lowered once per check into a flat instruction stream of
-/// pre-resolved opcodes, and BFS runs over the StateStore's dense state ids
-/// directly — the popped state is decoded from its canonical key into one
-/// reused working state, each successor is produced by mutating that state
-/// in place, encoding it straight into the intern scratch buffer, and
-/// undoing the mutation (only multi-successor opcodes need any undo at
-/// all). No MachineState is ever copied and no explicit work queue exists.
+/// pre-resolved opcodes, and the shared BFS shell (rt::Explorer) hands it
+/// the StateStore's dense state ids directly — the popped state is decoded
+/// from its canonical key into one reused working state, and each
+/// successor key is either patched into a copy of the parent's key or
+/// encoded from the mutated working state. No MachineState is ever copied
+/// and no explicit work queue exists.
 ///
 /// The engine is contract-bound to the interpreter (SeqChecker.cpp): same
 /// verdict, same message, same error location, same counterexample trace,

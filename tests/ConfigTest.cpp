@@ -7,7 +7,7 @@
 // Golden pins for the config::toJson/fromJson surface shared by
 // `kisscheck --config`, the kissd request API, and the result-cache key
 // (docs/api.md "Stability expectations"). The default-config golden is
-// the schema's v1 contract: any key added, renamed, or reordered shows up
+// the schema's v2 contract: any key added, renamed, or reordered shows up
 // here as a byte diff and must come with a config_version decision.
 //
 //===----------------------------------------------------------------------===//
@@ -36,10 +36,10 @@ std::string parseErr(std::string_view Text) {
   return Error;
 }
 
-// The v1 schema, byte for byte. This is the wire/cache/file contract —
+// The v2 schema, byte for byte. This is the wire/cache/file contract —
 // do not update casually (see the file header).
 const char *DefaultGolden = R"({
-  "config_version": 1,
+  "config_version": 2,
   "max_ts": 0,
   "max_switches": 2,
   "max_states": 1000000,
@@ -50,7 +50,6 @@ const char *DefaultGolden = R"({
   "engine": "seq",
   "exec": "threaded",
   "store": "flat",
-  "super_step": false,
   "sample_every": 0,
   "profile": false
 })";
@@ -73,7 +72,6 @@ TEST(Config, NonDefaultRoundTripByteExact) {
   Cfg.Engine = rt::Engine::Auto;
   Cfg.Exec = rt::ExecEngine::Interp;
   Cfg.Store = rt::StoreMode::Delta;
-  Cfg.SuperStep = true;
   Cfg.SampleEvery = 512;
   Cfg.Profile = true;
   Cfg.Common.Jobs = 0;
@@ -118,11 +116,14 @@ TEST(Config, TypeMismatchRejectedWithPosition) {
 }
 
 TEST(Config, VersionChecked) {
-  // Version 1 accepted (it is the golden's first key); anything else is a
-  // hard error so a future-schema file can't half-apply.
-  EXPECT_NE(parseErr("{\"config_version\": 2}").find("unsupported"),
+  // Version 2 accepted (it is the golden's first key); anything else is a
+  // hard error so a file of another schema can't half-apply. Version 1
+  // has no compatibility path.
+  EXPECT_NE(parseErr("{\"config_version\": 1}").find("unsupported"),
             std::string::npos);
-  EXPECT_NE(parseErr("{\"config_version\": \"1\"}").find("unsupported"),
+  EXPECT_NE(parseErr("{\"config_version\": 3}").find("unsupported"),
+            std::string::npos);
+  EXPECT_NE(parseErr("{\"config_version\": \"2\"}").find("unsupported"),
             std::string::npos);
 }
 

@@ -236,34 +236,4 @@ TEST(ExecEngineTest, DriverCorpusFieldChecksAgree) {
   EXPECT_GE(Checked, 16u);
 }
 
-TEST(ExecEngineTest, SuperStepPreservesVerdictsOnExamples) {
-  // Super-step coarsening is opt-in precisely because it changes state
-  // counts; what it must preserve is every verdict and message.
-  auto Files = kissFilesIn(KISS_SAMPLES_DIR);
-  for (const auto &F : Files) {
-    std::string Source = readFile(F);
-    for (unsigned MaxTs : {0u, 2u}) {
-      SCOPED_TRACE(F.filename().string() + " MAX=" + std::to_string(MaxTs));
-      CheckConfig Cfg;
-      Cfg.MaxTs = MaxTs;
-      Session Plain(Cfg);
-      auto P1 = Plain.compile(F.filename().string(), Source);
-      ASSERT_TRUE(P1);
-      core::KissReport R1 = Plain.check(*P1);
-
-      Cfg.SuperStep = true;
-      Session Fused(Cfg);
-      auto P2 = Fused.compile(F.filename().string(), Source);
-      ASSERT_TRUE(P2);
-      core::KissReport R2 = Fused.check(*P2);
-
-      EXPECT_EQ(core::getVerdictName(R2.Verdict),
-                std::string(core::getVerdictName(R1.Verdict)));
-      EXPECT_EQ(R2.Message, R1.Message);
-      // Coarsening only ever removes intermediate states.
-      EXPECT_LE(R2.Sequential.StatesExplored, R1.Sequential.StatesExplored);
-    }
-  }
-}
-
 } // namespace
