@@ -17,6 +17,8 @@
 #include <memory>
 #include <string>
 
+#include <sys/resource.h>
+
 namespace kiss::bench {
 
 /// A compiled program together with the kiss::Session that owns it.
@@ -51,6 +53,20 @@ inline void printRule(char Fill = '-') {
   for (int I = 0; I < 78; ++I)
     std::putchar(Fill);
   std::putchar('\n');
+}
+
+/// Prints one stdout line with the process's resource use so far
+/// (getrusage(RUSAGE_SELF)): user and sys CPU seconds, minor page faults
+/// and peak RSS, as `key=value` pairs that scripts can grep.
+inline void printProcessUsage() {
+  struct rusage RU;
+  if (getrusage(RUSAGE_SELF, &RU) != 0)
+    return;
+  auto Sec = [](const timeval &T) { return T.tv_sec + T.tv_usec / 1e6; };
+  std::printf("Process usage: user_s=%.3f sys_s=%.3f minor_faults=%ld "
+              "max_rss_mb=%.1f\n",
+              Sec(RU.ru_utime), Sec(RU.ru_stime), RU.ru_minflt,
+              RU.ru_maxrss / 1024.0);
 }
 
 /// Parses the one flag the table benches take: `--jobs N` / `--jobs=N`

@@ -107,6 +107,7 @@ int main(int Argc, char **Argv) {
   }
   telemetry::writeReport(Rec, "BENCH_table1_races.json");
   std::printf("wrote BENCH_table1_races.json\n");
+  printProcessUsage();
   if (Cancel->isCancelled())
     return 3;
   return AllMatch ? 0 : 1;

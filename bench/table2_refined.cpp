@@ -97,6 +97,7 @@ int main(int Argc, char **Argv) {
   }
   telemetry::writeReport(Rec, "BENCH_table2_refined.json");
   std::printf("wrote BENCH_table2_refined.json\n");
+  printProcessUsage();
   if (Cancel->isCancelled())
     return 3;
   return AllMatch ? 0 : 1;

@@ -11,7 +11,8 @@
 /// expansion, once:
 ///
 ///  * the visited-set StateStore and the parent links the counterexample
-///    trace is rebuilt from;
+///    trace is rebuilt from (its ExploreWorkspace, borrowed from a
+///    process-wide pool; see below);
 ///  * the entry-function check and the root state;
 ///  * the state budget, the resource governor, the heartbeat and the
 ///    time-series sampling at the top of the loop;
@@ -38,6 +39,18 @@
 /// contiguous id ranges, so depth needs no per-state array. Engines that
 /// carry decoded states keep them in a FIFO aligned with those ids.
 ///
+/// The workspace pool. A KISS evaluation is hundreds of small searches
+/// back to back, each growing a visited set of up to ~30 MB. Freeing it
+/// hands the pages back to the kernel and the next search faults them all
+/// in again, so an Explorer instead takes an ExploreWorkspace from a
+/// process-wide pool when it is built and returns it when it is
+/// destroyed. The pool holds only idle workspaces: its size is the peak
+/// number of searches that ran at once. A workspace holding more than
+/// MaxPooledBytes of capacity is freed instead of returned, so one huge
+/// search cannot pin its footprint for the rest of the process. Reuse is
+/// invisible in every result: StateStore::reset() replays a fresh store's
+/// growth schedule, so ids and every count are those of a fresh store.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef KISS_SEQCHECK_EXPLORER_H
@@ -52,14 +65,42 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace kiss::rt {
 
+/// Back-pointer for counterexample reconstruction, indexed by state id.
+struct ParentLink {
+  uint32_t Parent = seqcheck::StateStore::InvalidId; ///< InvalidId: root.
+  TraceStep Step;
+};
+
+/// The memory one search grows: its visited set and parent links.
+struct ExploreWorkspace {
+  explicit ExploreWorkspace(StoreMode Mode) : Store(Mode) {}
+
+  /// Bytes the search has in use: what the governor's memory budget and
+  /// the heartbeat measure.
+  size_t memoryBytes() const {
+    return Store.memoryBytes() + Links.size() * sizeof(ParentLink);
+  }
+  /// Bytes of heap capacity held, used or not.
+  size_t capacityBytes() const {
+    return Store.capacityBytes() + Links.capacity() * sizeof(ParentLink);
+  }
+
+  seqcheck::StateStore Store;
+  std::vector<ParentLink> Links;
+};
+
 class Explorer {
 public:
   using StateStore = seqcheck::StateStore;
+
+  /// Largest workspace capacity the pool keeps.
+  static constexpr size_t MaxPooledBytes = size_t(64) << 20;
 
   /// Where and why an expansion ended the run (error and bound kinds).
   struct Fault {
@@ -76,10 +117,17 @@ public:
 
   Explorer(const lang::Program &P, const cfg::ProgramCFG &CFG,
            const ExploreOptions &Opts)
-      : P(P), CFG(CFG), Opts(Opts), Store(Opts.Store) {
+      : P(P), CFG(CFG), Opts(Opts), WS(acquireWorkspace(Opts.Store)),
+        Store(WS->Store), Links(WS->Links) {
     if (Opts.Profile)
       Prof.enable(CFG);
   }
+  ~Explorer() { releaseWorkspace(std::move(WS)); }
+  Explorer(const Explorer &) = delete;
+  Explorer &operator=(const Explorer &) = delete;
+
+  /// Capacity held by the pool's idle workspaces, in bytes.
+  static size_t pooledBytes();
 
   /// Runs the search to completion or to the first error or bound.
   template <class Engine> CheckResult run(Engine &E);
@@ -111,11 +159,11 @@ public:
   const StateStore &store() const { return Store; }
 
 private:
-  /// Back-pointer for counterexample reconstruction, indexed by state id.
-  struct ParentLink {
-    uint32_t Parent = StateStore::InvalidId; ///< InvalidId for the root.
-    TraceStep Step;
-  };
+  /// A reset workspace in \p Mode: an idle one from the pool, or new.
+  static std::unique_ptr<ExploreWorkspace> acquireWorkspace(StoreMode Mode);
+  /// Returns \p W to the pool, or frees it if it holds more than
+  /// MaxPooledBytes.
+  static void releaseWorkspace(std::unique_ptr<ExploreWorkspace> W);
 
   std::vector<TraceStep> rebuildTrace(uint32_t Id, const TraceStep &Last) {
     std::vector<TraceStep> Trace{Last};
@@ -143,7 +191,7 @@ private:
     if (Prof.on())
       R.Profile = Prof.take();
     if (Opts.Progress)
-      Opts.Progress->finish(Store.size(), Frontier, Store.memoryBytes());
+      Opts.Progress->finish(Store.size(), Frontier, WS->memoryBytes());
     return std::move(R);
   }
 
@@ -178,8 +226,9 @@ private:
   const lang::Program &P;
   const cfg::ProgramCFG &CFG;
   const ExploreOptions &Opts;
-  StateStore Store;
-  std::vector<ParentLink> Links;
+  std::unique_ptr<ExploreWorkspace> WS;
+  StateStore &Store;              ///< WS->Store.
+  std::vector<ParentLink> &Links; ///< WS->Links.
   ProfileCollector Prof;
   CheckResult R;
   uint64_t Popped = 0; ///< States handed to the engine so far.
@@ -216,10 +265,10 @@ template <class Engine> CheckResult Explorer::run(Engine &E) {
       return bound(gov::BoundReason::States,
                    "state budget of " + std::to_string(Opts.MaxStates) +
                        " states exceeded");
-    if (Gov.shouldStop(Store.memoryBytes()))
+    if (Gov.shouldStop(WS->memoryBytes()))
       return bound(Gov.reason(), Gov.message());
     if (Opts.Progress)
-      Opts.Progress->tick(Store.size(), Frontier, Store.memoryBytes());
+      Opts.Progress->tick(Store.size(), Frontier, WS->memoryBytes());
     if (Opts.SampleEvery && Store.size() >= NextSample) {
       sample(Frontier, StartTime);
       NextSample = (Store.size() / Opts.SampleEvery + 1) * Opts.SampleEvery;

@@ -134,13 +134,27 @@ void applyDelta(std::string_view Parent, const char *Ops, size_t NOps,
 
 } // namespace
 
-StateStore::StateStore(rt::StoreMode Mode)
-    : Mode(Mode), Slots(InitialSlots, Slot{0, InvalidId}) {
+StateStore::StateStore(rt::StoreMode Mode) { reset(Mode); }
+
+void StateStore::reset(rt::StoreMode NewMode) {
+  Mode = NewMode;
+  Arena.clear();
+  Records.clear();
+  Slots.assign(InitialSlots, Slot{0, InvalidId});
+  Stats = IndexStats();
+  ++Generation; // Views into the old contents are stale.
+  MatId = InvalidId;
   // Records can never outgrow the load-factor bound before the next
   // grow(), so reserving alongside the slot table keeps push_back off the
   // reallocation path entirely.
   Records.reserve(InitialSlots * 7 / 10);
   Arena.reserve(64 << 10);
+}
+
+size_t StateStore::capacityBytes() const {
+  return Arena.capacity() + Records.capacity() * sizeof(Record) +
+         (Slots.capacity() + Spare.capacity()) * sizeof(Slot) +
+         MatBuf.capacity() + MatTmp.capacity() + DeltaBuf.capacity();
 }
 
 std::string_view StateStore::materialize(uint32_t Id) const {
@@ -252,11 +266,14 @@ std::pair<uint32_t, bool> StateStore::internImpl(std::string_view Key,
 }
 
 void StateStore::grow() {
-  std::vector<Slot> Old(Slots.size() * 2, Slot{0, InvalidId});
-  Old.swap(Slots);
+  // Copy out and rehash back in place: Slots keeps the largest capacity a
+  // run reached and Spare half of it, so a reset store regrows into
+  // memory it already owns.
+  Spare.assign(Slots.begin(), Slots.end());
+  Slots.assign(Slots.size() * 2, Slot{0, InvalidId});
   Records.reserve(Slots.size() * 7 / 10);
   const size_t Mask = Slots.size() - 1;
-  for (const Slot &S : Old) {
+  for (const Slot &S : Spare) {
     if (S.Id == InvalidId)
       continue;
     size_t I = S.Hash & Mask;

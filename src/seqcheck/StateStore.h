@@ -51,6 +51,17 @@ public:
 
   explicit StateStore(rt::StoreMode Mode = rt::StoreMode::Flat);
 
+  /// Empties the store and switches it to \p Mode, keeping the capacity
+  /// of the arena, the record table and both slot tables. The index starts
+  /// again at its initial size and grows on the same schedule, so ids,
+  /// IndexStats, arenaBytes() and indexBytes() evolve exactly as in a
+  /// freshly constructed store: only the allocations are saved.
+  void reset(rt::StoreMode Mode);
+
+  /// Bytes of heap capacity the store holds, used or not (what keeping
+  /// it between runs costs).
+  size_t capacityBytes() const;
+
   /// Interns encoded state \p Key. \returns the state's dense id (ids are
   /// assigned 0, 1, 2, ... in first-seen order) and whether the key was
   /// newly inserted. The bytes are copied; \p Key may be a reused scratch
@@ -169,13 +180,16 @@ private:
     return R;
   }
 
-  rt::StoreMode Mode;
+  rt::StoreMode Mode = rt::StoreMode::Flat;
   /// A string rather than vector<char>: append(ptr, n) is a plain
   /// capacity-checked memcpy, where vector's range insert went through the
   /// generic path and cost more than the hash + probe combined.
   std::string Arena;
   std::vector<Record> Records;
-  std::vector<Slot> Slots; ///< Capacity is always a power of two.
+  std::vector<Slot> Slots; ///< Size is always a power of two.
+  /// grow()'s rehash source: a copy of the outgrown table, kept so a
+  /// reused store regrows without allocating.
+  std::vector<Slot> Spare;
   IndexStats Stats;
   mutable uint64_t Generation = 0;
   /// Delta-mode reconstruction scratch (ping-pong) and a one-entry cache

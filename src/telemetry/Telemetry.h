@@ -284,8 +284,9 @@ public:
                      ClockFn Clock = nullptr, uint32_t Stride = 0);
 
   /// Reports progress: \p States distinct states so far, \p Frontier
-  /// states currently queued, \p MemoryBytes the visited-set footprint
-  /// (arena + index; 0 = unknown, not printed).
+  /// states currently queued, \p MemoryBytes the search's footprint
+  /// (visited-set arena + index + parent links; 0 = unknown, not
+  /// printed).
   void tick(uint64_t States, uint64_t Frontier, uint64_t MemoryBytes = 0);
 
   /// Prints the final summary beat (always, regardless of the interval):

@@ -6,6 +6,8 @@
 
 #include "TestUtil.h"
 
+#include "conc/ConcChecker.h"
+#include "seqcheck/Explorer.h"
 #include "seqcheck/SeqChecker.h"
 
 using namespace kiss;
@@ -326,6 +328,57 @@ TEST(SeqCheckTest, InjectedMemoryTripReportsReason) {
   CheckResult R = run("void main() { assert(true); }", Opts);
   EXPECT_EQ(R.Outcome, CheckOutcome::BoundExceeded);
   EXPECT_EQ(R.Bound, gov::BoundReason::Memory);
+}
+
+/// A budget between the visited set's final size and that size plus the
+/// parent links. An armed, unreached injection drops the governor's
+/// check stride to one tick, so the search trips exactly when the links
+/// are counted.
+gov::RunBudget budgetBetweenStoreAndLinks(const CheckResult &Full) {
+  const uint64_t Store =
+      Full.Exploration.ArenaBytes + Full.Exploration.IndexBytes;
+  const uint64_t Links = Full.StatesExplored * sizeof(ParentLink);
+  gov::RunBudget B;
+  B.MemoryBytes = Store + Links / 2;
+  B.TripAtTick = uint64_t(1) << 40;
+  return B;
+}
+
+void expectMemoryTrip(const CheckResult &R) {
+  EXPECT_EQ(R.Outcome, CheckOutcome::BoundExceeded);
+  EXPECT_EQ(R.Bound, gov::BoundReason::Memory);
+  EXPECT_NE(R.Message.find("memory budget of"), std::string::npos)
+      << R.Message;
+}
+
+TEST(SeqCheckTest, MemoryBudgetCountsParentLinks) {
+  // 51 x 51 choices: a complete search of ~2,600 states.
+  auto C = compile(R"(
+    void main() {
+      int x = nondet_int(0, 50);
+      int y = nondet_int(0, 50);
+      assert(x + y >= 0);
+    }
+  )");
+  ASSERT_TRUE(C);
+  cfg::ProgramCFG CFG = cfg::ProgramCFG::build(*C.Program);
+
+  for (ExecEngine E : {ExecEngine::Interp, ExecEngine::Threaded}) {
+    SCOPED_TRACE(getExecEngineName(E));
+    seqcheck::SeqOptions Opts;
+    Opts.Exec = E;
+    const CheckResult Full = seqcheck::checkProgram(*C.Program, CFG, Opts);
+    ASSERT_EQ(Full.Outcome, CheckOutcome::Safe);
+    ASSERT_GT(Full.StatesExplored, 2'500u);
+    Opts.Budget = budgetBetweenStoreAndLinks(Full);
+    expectMemoryTrip(seqcheck::checkProgram(*C.Program, CFG, Opts));
+  }
+
+  conc::ConcOptions CO;
+  const CheckResult Full = conc::checkProgram(*C.Program, CFG, CO);
+  ASSERT_EQ(Full.Outcome, CheckOutcome::Safe);
+  CO.Budget = budgetBetweenStoreAndLinks(Full);
+  expectMemoryTrip(conc::checkProgram(*C.Program, CFG, CO));
 }
 
 TEST(SeqCheckTest, InjectedCancellationReportsReason) {

@@ -198,6 +198,106 @@ TEST(StateStoreTest, DeltaModeDedupsReinternedKeys) {
 }
 
 //===----------------------------------------------------------------------===//
+// Reuse after reset()
+//===----------------------------------------------------------------------===//
+
+/// Everything a store reports after one intern sequence.
+struct ReplayResult {
+  std::vector<std::pair<uint32_t, bool>> Interns;
+  std::vector<std::string> Keys; ///< key(Id) for every id, read at the end.
+  StateStore::IndexStats Stats;
+  size_t ArenaBytes = 0;
+  size_t IndexBytes = 0;
+};
+
+/// Runs a fixed, BFS-like intern sequence of \p N steps into \p Store:
+/// children of recent states that differ in a few bytes (sometimes in
+/// length), re-interned duplicates, and forced 64-bit hash collisions.
+ReplayResult replay(StateStore &Store, unsigned N, uint64_t Seed) {
+  ReplayResult R;
+  std::vector<std::string> Known; // By id, as interned.
+  uint64_t X = Seed;
+  auto next = [&X] {
+    X = X * 6364136223846793005ull + 1442695040888963407ull;
+    return X >> 33;
+  };
+  auto record = [&](std::pair<uint32_t, bool> Res, const std::string &K) {
+    R.Interns.push_back(Res);
+    if (Res.second)
+      Known.push_back(K);
+  };
+
+  const std::string Root(96, 'x');
+  record(Store.intern(Root), Root);
+  for (unsigned I = 1; I != N; ++I) {
+    const uint32_t Parent = static_cast<uint32_t>(
+        Known.size() - 1 - next() % std::min<size_t>(Known.size(), 64));
+    std::string K = Known[Parent];
+    K[next() % K.size()] = static_cast<char>('a' + next() % 26);
+    K[next() % K.size()] = static_cast<char>('0' + next() % 10);
+    if (I % 211 == 0)
+      K += "tail";
+    else if (I % 223 == 0 && K.size() > 64)
+      K.resize(K.size() - 4);
+    record(Store.internChild(K, Parent), K);
+    if (I % 7 == 0) {
+      const std::string &Old = Known[next() % Known.size()];
+      record(Store.intern(Old), Old);
+    }
+    if (I % 997 == 0) {
+      const std::string C = "collide-" + std::to_string(I);
+      record(Store.intern(C, /*Hash=*/0x5eed), C);
+    }
+  }
+
+  for (uint32_t Id = 0; Id != Store.size(); ++Id)
+    R.Keys.emplace_back(Store.key(Id).view());
+  R.Stats = Store.indexStats();
+  R.ArenaBytes = Store.arenaBytes();
+  R.IndexBytes = Store.indexBytes();
+  return R;
+}
+
+void expectSameReplay(const ReplayResult &Got, const ReplayResult &Want) {
+  EXPECT_EQ(Got.Interns, Want.Interns);
+  EXPECT_EQ(Got.Keys, Want.Keys);
+  EXPECT_EQ(Got.Stats.Hits, Want.Stats.Hits);
+  EXPECT_EQ(Got.Stats.Probes, Want.Stats.Probes);
+  EXPECT_EQ(Got.Stats.Verifies, Want.Stats.Verifies);
+  EXPECT_EQ(Got.Stats.Collisions, Want.Stats.Collisions);
+  EXPECT_EQ(Got.ArenaBytes, Want.ArenaBytes);
+  EXPECT_EQ(Got.IndexBytes, Want.IndexBytes);
+}
+
+/// A store filled to ~30k states and reset() into the other mode behaves
+/// exactly like a fresh store in that mode, while keeping its capacity.
+void expectResetIsFresh(StoreMode Before, StoreMode After) {
+  StateStore Reused(Before);
+  replay(Reused, 30'000, /*Seed=*/1);
+  ASSERT_GT(Reused.size(), 29'000u);
+  const size_t Held = Reused.capacityBytes();
+
+  Reused.reset(After);
+  EXPECT_EQ(Reused.mode(), After);
+  EXPECT_EQ(Reused.size(), 0u);
+  EXPECT_EQ(Reused.capacityBytes(), Held);
+
+  StateStore Fresh(After);
+  const ReplayResult Want = replay(Fresh, 9'000, /*Seed=*/2);
+  expectSameReplay(replay(Reused, 9'000, /*Seed=*/2), Want);
+  EXPECT_GT(Want.Stats.Hits, 0u);
+  EXPECT_GT(Want.Stats.Collisions, 0u);
+}
+
+TEST(StateStoreTest, ResetFlatToDeltaMatchesFreshStore) {
+  expectResetIsFresh(StoreMode::Flat, StoreMode::Delta);
+}
+
+TEST(StateStoreTest, ResetDeltaToFlatMatchesFreshStore) {
+  expectResetIsFresh(StoreMode::Delta, StoreMode::Flat);
+}
+
+//===----------------------------------------------------------------------===//
 // Canonical encoding determinism
 //===----------------------------------------------------------------------===//
 
