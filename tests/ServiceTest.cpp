@@ -21,6 +21,9 @@
 #include "gtest/gtest.h"
 
 #include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <unistd.h>
 
@@ -76,6 +79,13 @@ std::string coreMember(const std::string &Core, const char *Key) {
 
 std::string tempPath(const char *Name) {
   return testing::TempDir() + "/" + Name;
+}
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path);
+  std::ostringstream Buffer;
+  Buffer << In.rdbuf();
+  return Buffer.str();
 }
 
 //===----------------------------------------------------------------------===//
@@ -405,6 +415,78 @@ TEST(CheckService, NoCacheRequestsAlwaysRecompute) {
   ASSERT_NE(V.find("cache_bypasses"), nullptr);
   ASSERT_TRUE(V.find("cache_bypasses")->asU64(Bypasses));
   EXPECT_EQ(Bypasses, 2u);
+}
+
+//===----------------------------------------------------------------------===//
+// Cached-core goldens
+//===----------------------------------------------------------------------===//
+
+/// One request whose core is pinned by tests/golden/service_cores.txt.
+struct CoreCase {
+  const char *Name;  ///< The golden block.
+  const char *File;  ///< An examples/programs input.
+  const char *Field; ///< Race target ("" = assertion mode).
+  void (*Tweak)(CheckConfig &);
+};
+
+const CoreCase CoreCases[] = {
+    {"assert", "bank.kiss", "", [](CheckConfig &C) { C.MaxTs = 1; }},
+    {"assert_interp_sampled", "bank.kiss", "",
+     [](CheckConfig &C) {
+       C.MaxTs = 1;
+       C.Exec = rt::ExecEngine::Interp;
+       C.SampleEvery = 64;
+       C.Profile = true;
+     }},
+    {"race_field", "bank.kiss", "ACCOUNT.balance", [](CheckConfig &) {}},
+    {"bebop", "handshake.kiss", "",
+     [](CheckConfig &C) { C.Engine = rt::Engine::Bebop; }},
+    {"auto_fallback", "bank_fixed.kiss", "",
+     [](CheckConfig &C) {
+       C.MaxTs = 1;
+       C.Engine = rt::Engine::Auto;
+     }},
+    {"max_states", "bank_fixed.kiss", "",
+     [](CheckConfig &C) {
+       C.MaxTs = 1;
+       C.MaxStates = 100;
+     }},
+};
+
+/// The bytes a kissd cache stores for a check are the core runRequest
+/// renders; a snapshot written by one build must replay under the next,
+/// so the cores are pinned absolutely. On a mismatch every case's core is
+/// written to service_cores.actual.txt in the working directory, which is
+/// what the golden file is re-recorded from.
+TEST(CheckService, CachedCoresMatchGolden) {
+  std::map<std::string, std::string> Golden;
+  std::istringstream In(readFile(KISS_SERVICE_GOLDEN));
+  std::string Line, Block;
+  while (std::getline(In, Line)) {
+    if (Line.rfind("== ", 0) == 0)
+      Block = Line.substr(3);
+    else
+      Golden[Block] += Line + "\n";
+  }
+
+  std::string Actual;
+  for (const CoreCase &C : CoreCases) {
+    SCOPED_TRACE(C.Name);
+    Request R = makeCheck(
+        readFile(std::string(KISS_SAMPLES_DIR) + "/" + C.File), C.File);
+    R.Cfg.MaxTs = 0;
+    R.Field = C.Field;
+    C.Tweak(R.Cfg);
+    Session S(R.Cfg);
+    std::string Core;
+    bool Cacheable = false;
+    runRequest(S, R, Core, Cacheable);
+    std::string Got = Core + "\n";
+    EXPECT_EQ(Got, Golden[C.Name]);
+    Actual += std::string("== ") + C.Name + "\n" + Got;
+  }
+  if (::testing::Test::HasFailure())
+    std::ofstream("service_cores.actual.txt") << Actual;
 }
 
 } // namespace
