@@ -93,15 +93,7 @@ uint64_t pathEdges(telemetry::RunRecorder &Rec, const std::string &Name,
     std::abort();
   }
 
-  telemetry::CheckRecord Rcd;
-  Rcd.Name = Name;
-  Rcd.Outcome = core::getVerdictName(R.Verdict);
-  Rcd.WallMs = Sec * 1000.0;
-  rt::fillExplorationRecord(Rcd, R.Sequential);
-  Rcd.PathEdges = R.PathEdges;
-  Rcd.SummaryEdges = R.SummaryEdges;
-  Rcd.Engine = rt::getEngineName(R.EngineUsed);
-  Rec.addCheck(Rcd);
+  Rec.addCheck(core::makeCheckRecord(R, Name, Sec * 1000.0));
   return R.PathEdges;
 }
 

@@ -125,12 +125,8 @@ int main() {
                       R.Sequential.StatesExplored),
                   Sec, Match ? "" : "<- MISMATCH");
 
-      telemetry::CheckRecord Rcd;
-      Rcd.Name = std::string(Ca.Name) + "@K=" + std::to_string(K);
-      Rcd.Outcome = getVerdictName(R.Verdict);
-      Rcd.WallMs = Sec * 1000.0;
-      rt::fillExplorationRecord(Rcd, R.Sequential);
-      Rec.addCheck(Rcd);
+      Rec.addCheck(makeCheckRecord(
+          R, std::string(Ca.Name) + "@K=" + std::to_string(K), Sec * 1000.0));
 
       // Cost side: on no-error runs the state space grows with K.
       if (!R.foundError()) {

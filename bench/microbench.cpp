@@ -254,21 +254,13 @@ void writeSeqcheckJson(const char *Path) {
       rt::CheckResult R = seqcheck::checkProgram(*TP, FamCFG, SO);
       benchmark::DoNotOptimize(R.Outcome);
     });
-    uint64_t StatesPerSec = static_cast<uint64_t>(
-        static_cast<double>(Probe.StatesExplored) / ExploreSec);
-    if (RecordPhase) {
-      telemetry::PhaseRecord &Explore =
-          Rec.addPhase("explore", ExploreSec * 1000.0);
-      Explore.Counters.emplace_back("states_per_sec", StatesPerSec);
-    }
-    telemetry::CheckRecord C;
-    C.Name = Name;
-    C.Outcome = rt::getOutcomeName(Probe.Outcome);
-    C.WallMs = ExploreSec * 1000.0;
-    rt::fillExplorationRecord(C, Probe);
-    C.ExecEngine = rt::getExecEngineName(SO.Exec);
-    C.StatesPerSec = StatesPerSec;
-    Rec.addCheck(std::move(C));
+    if (RecordPhase)
+      Rec.addPhase("explore", ExploreSec * 1000.0)
+          .Counters.emplace_back(
+              "states_per_sec",
+              static_cast<uint64_t>(
+                  static_cast<double>(Probe.StatesExplored) / ExploreSec));
+    Rec.addCheck(rt::makeCheckRecord(Probe, Name, ExploreSec * 1000.0));
   };
 
   seqcheck::SeqOptions Threaded;

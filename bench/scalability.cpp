@@ -92,12 +92,13 @@ int main(int Argc, char **Argv) {
               "conc s", "growth", "kiss states", "kiss s", "growth");
   printRule();
 
+  // Each worker builds its k's two check records as soon as the checks
+  // return; they are recorded in k order after the join, so the report is
+  // deterministic regardless of --jobs.
   struct Row {
-    uint64_t ConcStates = 0, KissStates = 0;
-    double ConcSec = 0, KissSec = 0;
     rt::CheckOutcome ConcOutcome = rt::CheckOutcome::Safe;
     KissVerdict KissV = KissVerdict::NoErrorFound;
-    rt::CheckResult Conc, Kiss; ///< Full results for the report.
+    telemetry::CheckRecord Conc, Kiss;
   };
   std::vector<Row> Rows(MaxThreads);
 
@@ -112,19 +113,17 @@ int main(int Argc, char **Argv) {
     CO.MaxStates = Budget;
     CO.MaxThreads = MaxThreads + 2;
     rt::CheckResult Conc = conc::checkProgram(*C.Program, CFG, CO);
-    R.ConcSec = seconds(T0);
-    R.ConcStates = Conc.StatesExplored;
     R.ConcOutcome = Conc.Outcome;
-    R.Conc = std::move(Conc);
+    R.Conc = rt::makeCheckRecord(Conc, "conc k=" + std::to_string(K),
+                                 seconds(T0) * 1000.0);
 
     auto T1 = std::chrono::steady_clock::now();
     C.config().MaxTs = MaxTs;
     C.config().MaxStates = Budget;
     KissReport Kiss = C.check();
-    R.KissSec = seconds(T1);
-    R.KissStates = Kiss.Sequential.StatesExplored;
     R.KissV = Kiss.Verdict;
-    R.Kiss = std::move(Kiss.Sequential);
+    R.Kiss = makeCheckRecord(Kiss, "kiss k=" + std::to_string(K),
+                             seconds(T1) * 1000.0);
   });
 
   telemetry::RunRecorder Rec;
@@ -132,18 +131,6 @@ int main(int Argc, char **Argv) {
   Rec.setMeta("workload", "family sweep k=1.." + std::to_string(MaxThreads) +
                               ", m=" + std::to_string(Steps) +
                               ", MAX=" + std::to_string(MaxTs));
-
-  // Record both series in k order after the join, so the report is
-  // deterministic regardless of --jobs.
-  auto record = [&Rec](const std::string &Name, const rt::CheckResult &R,
-                       const char *Outcome, double Sec) {
-    telemetry::CheckRecord C;
-    C.Name = Name;
-    C.Outcome = Outcome;
-    C.WallMs = Sec * 1000.0;
-    rt::fillExplorationRecord(C, R);
-    Rec.addCheck(std::move(C));
-  };
 
   std::vector<uint64_t> ConcSeries, KissSeries;
 
@@ -156,14 +143,11 @@ int main(int Argc, char **Argv) {
                   getVerdictName(R.KissV));
       return 1;
     }
+    Rec.addCheck(R.Conc);
+    Rec.addCheck(R.Kiss);
 
-    record("conc k=" + std::to_string(K), R.Conc,
-           rt::getOutcomeName(R.ConcOutcome), R.ConcSec);
-    record("kiss k=" + std::to_string(K), R.Kiss, getVerdictName(R.KissV),
-           R.KissSec);
-
-    ConcSeries.push_back(R.ConcStates);
-    KissSeries.push_back(R.KissStates);
+    ConcSeries.push_back(R.Conc.States);
+    KissSeries.push_back(R.Kiss.States);
     double ConcGrowth =
         K > 1 ? static_cast<double>(ConcSeries[K - 1]) / ConcSeries[K - 2]
               : 0.0;
@@ -171,10 +155,10 @@ int main(int Argc, char **Argv) {
         K > 1 ? static_cast<double>(KissSeries[K - 1]) / KissSeries[K - 2]
               : 0.0;
     std::printf("%2u | %12llu %9.3f %6.2fx | %12llu %9.3f %6.2fx\n", K,
-                static_cast<unsigned long long>(R.ConcStates), R.ConcSec,
-                ConcGrowth,
-                static_cast<unsigned long long>(R.KissStates), R.KissSec,
-                KissGrowth);
+                static_cast<unsigned long long>(R.Conc.States),
+                R.Conc.WallMs / 1000.0, ConcGrowth,
+                static_cast<unsigned long long>(R.Kiss.States),
+                R.Kiss.WallMs / 1000.0, KissGrowth);
   }
 
   // Shape: the concurrent series grows by a roughly constant factor > 2

@@ -168,20 +168,21 @@ int main(int Argc, char **Argv) {
   Rec.addPhase("hot", HotMs);
 
   // Two synthetic records carrying the latency profile: wall_ms is the
-  // mean per-request latency, which the wall-ratio gate compares.
+  // mean per-request latency, which the wall-ratio gate compares. They
+  // explore nothing, so their sample counts are run counters.
   telemetry::CheckRecord Cold;
   Cold.Name = "cold";
   Cold.Outcome = "miss";
   Cold.WallMs = meanUs(ColdUs) / 1000.0;
-  Cold.States = ColdUs.size();
   Rec.addCheck(std::move(Cold));
   telemetry::CheckRecord Hot;
   Hot.Name = "hot";
   Hot.Outcome = "hit";
   Hot.WallMs = meanUs(HotUs) / 1000.0;
-  Hot.States = HotUs.size();
   Rec.addCheck(std::move(Hot));
 
+  Rec.addCounter("cold_samples", ColdUs.size());
+  Rec.addCounter("hot_samples", HotUs.size());
   Rec.addCounter("requests", Hits + Misses);
   Rec.addCounter("cache_hits", Hits);
   Rec.addCounter("cache_misses", Misses);

@@ -158,5 +158,8 @@ private:
 CheckResult conc::checkProgram(const lang::Program &P,
                                const cfg::ProgramCFG &CFG,
                                const ConcOptions &Opts) {
-  return ConcEngine(P, CFG, Opts).run();
+  CheckResult R = ConcEngine(P, CFG, Opts).run();
+  R.Exec = rt::ExecEngine::Interp; // Threads step with stepThread.
+  R.Conc = true;
+  return R;
 }

@@ -32,12 +32,31 @@ unsigned kiss::drivers::countModelLines(const DriverSpec &D,
   return countLines(buildFullProgram(D, V));
 }
 
+/// Field \p FieldIdx's result and record; its wall time runs from \p Start.
+static FieldResult fieldResult(const DriverSpec &D, unsigned FieldIdx,
+                               const KissReport &Report,
+                               std::chrono::steady_clock::time_point Start) {
+  FieldResult FR;
+  FR.FieldIndex = FieldIdx;
+  FR.Verdict = Report.Verdict;
+  FR.Bound = Report.boundReason();
+  FR.StatesExplored = Report.Sequential.StatesExplored;
+  FR.TransitionsExplored = Report.Sequential.TransitionsExplored;
+  FR.Record = makeCheckRecord(
+      Report, D.Name + "." + D.Fields[FieldIdx].Name,
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - Start)
+          .count());
+  return FR;
+}
+
 /// The body of one per-field check: compile the sliced model and run the
 /// KISS race check. Self-contained (one Session per field), so fields
 /// fan out across threads without sharing. May throw (OOM, injected
 /// fault); checkOneField is the isolation boundary that catches.
-static void checkFieldBody(const DriverSpec &D, unsigned FieldIdx,
-                           const CorpusRunOptions &Opts, FieldResult &FR) {
+static FieldResult checkFieldBody(const DriverSpec &D, unsigned FieldIdx,
+                                  const CorpusRunOptions &Opts,
+                                  std::chrono::steady_clock::time_point Start) {
   CheckConfig Cfg;
   Cfg.M = CheckConfig::Mode::Race;
   Cfg.MaxTs = 0; // §6: "we set the size of ts to 0" for race detection.
@@ -56,12 +75,9 @@ static void checkFieldBody(const DriverSpec &D, unsigned FieldIdx,
   Session S(Cfg);
   auto Program = S.compile(D.Name + "." + D.Fields[FieldIdx].Name,
                            buildFieldProgram(D, FieldIdx, Opts.Harness));
-  if (!Program) {
-    // Generated models always compile; treat a failure as inconclusive.
-    FR.Verdict = KissVerdict::BoundExceeded;
-    FR.Bound = gov::BoundReason::Fault;
-    return;
-  }
+  if (!Program) // Generated models always compile; inconclusive if not.
+    return fieldResult(D, FieldIdx, stoppedReport(gov::BoundReason::Fault),
+                       Start);
 
   if (static_cast<int>(FieldIdx) == Opts.InjectFailField)
     throw std::bad_alloc(); // Deterministic stand-in for a real OOM.
@@ -69,55 +85,30 @@ static void checkFieldBody(const DriverSpec &D, unsigned FieldIdx,
   S.config().Race =
       RaceTarget::field(S.context().Syms.intern(getDeviceExtensionName()),
                         S.context().Syms.intern(D.Fields[FieldIdx].Name));
-  CheckResult Report = S.check(*Program);
-
-  FR.Verdict = Report.Verdict;
-  FR.Bound = Report.Sequential.Bound;
-  FR.StatesExplored = Report.Sequential.StatesExplored;
-  FR.TransitionsExplored = Report.Sequential.TransitionsExplored;
-  FR.Exploration = Report.Sequential.Exploration;
-  FR.Series = std::move(Report.Sequential.Series);
-  FR.Profile = std::move(Report.Profile);
+  return fieldResult(D, FieldIdx, S.check(*Program), Start);
 }
 
 /// One per-field check under the fault-isolation boundary: a task that
 /// throws (std::bad_alloc included) or is cancelled before it starts
-/// degrades to a per-field BoundExceeded-style result — the rest of the
-/// corpus run is unaffected.
+/// degrades to a per-field BoundExceeded result saying why — the rest of
+/// the corpus run is unaffected.
 static FieldResult checkOneField(const DriverSpec &D, unsigned FieldIdx,
                                  const CorpusRunOptions &Opts) {
-  FieldResult FR;
-  FR.FieldIndex = FieldIdx;
   auto Start = std::chrono::steady_clock::now();
-
   // Cancel-and-drain: once the run is cancelled, fields that have not
   // started yet report Cancelled without doing any work (fields already
   // running trip through their own governor).
-  if (Opts.Common.Budget.Cancel && Opts.Common.Budget.Cancel->isCancelled()) {
-    FR.Verdict = KissVerdict::BoundExceeded;
-    FR.Bound = gov::BoundReason::Cancelled;
-    return FR;
+  gov::BoundReason Why = gov::BoundReason::Cancelled;
+  if (!Opts.Common.Budget.Cancel || !Opts.Common.Budget.Cancel->isCancelled()) {
+    try {
+      return checkFieldBody(D, FieldIdx, Opts, Start);
+    } catch (const std::bad_alloc &) {
+      Why = gov::BoundReason::Memory;
+    } catch (const std::exception &) {
+      Why = gov::BoundReason::Fault;
+    }
   }
-
-  try {
-    checkFieldBody(D, FieldIdx, Opts, FR);
-  } catch (const std::bad_alloc &) {
-    FR.Verdict = KissVerdict::BoundExceeded;
-    FR.Bound = gov::BoundReason::Memory;
-    FR.StatesExplored = 0;
-    FR.TransitionsExplored = 0;
-    FR.Exploration = rt::ExplorationStats();
-  } catch (const std::exception &) {
-    FR.Verdict = KissVerdict::BoundExceeded;
-    FR.Bound = gov::BoundReason::Fault;
-    FR.StatesExplored = 0;
-    FR.TransitionsExplored = 0;
-    FR.Exploration = rt::ExplorationStats();
-  }
-  FR.Seconds = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - Start)
-                   .count();
-  return FR;
+  return fieldResult(D, FieldIdx, stoppedReport(Why), Start);
 }
 
 DriverResult kiss::drivers::runDriver(const DriverSpec &D,
@@ -158,9 +149,9 @@ DriverResult kiss::drivers::runDriver(const DriverSpec &D,
                   std::chrono::steady_clock::now() - Start)
                   .count();
 
-  // Telemetry is recorded here, after the join, walking R.Fields in the
-  // requested field order — never from the workers — so the report is
-  // deterministic at every job count (timings aside).
+  // The workers built the field records; they are recorded here, after
+  // the join, walking R.Fields in the requested field order, so the report
+  // is deterministic at every job count (timings aside).
   if (telemetry::RunRecorder *Rec = Opts.Common.Recorder) {
     if (Opts.Common.Budget.Cancel && Opts.Common.Budget.Cancel->isCancelled())
       Rec->setInterrupted(true);
@@ -178,23 +169,8 @@ DriverResult kiss::drivers::runDriver(const DriverSpec &D,
     counter("no_races", R.NoRaces);
     counter("bound_exceeded", R.BoundExceeded);
 
-    for (const FieldResult &FR : R.Fields) {
-      telemetry::CheckRecord C;
-      C.Name = D.Name + "." + D.Fields[FR.FieldIndex].Name;
-      C.Outcome = core::getVerdictName(FR.Verdict);
-      C.WallMs = FR.Seconds * 1000.0;
-      // Route the exploration side through the shared filler so field
-      // records carry the same v4 surface (hash stats, series, profile)
-      // as the CLI's records.
-      rt::CheckResult Expl;
-      Expl.Bound = FR.Bound;
-      Expl.StatesExplored = FR.StatesExplored;
-      Expl.TransitionsExplored = FR.TransitionsExplored;
-      Expl.Exploration = FR.Exploration;
-      Expl.Series = FR.Series;
-      rt::fillExplorationRecord(C, Expl, FR.Profile);
-      Rec->addCheck(std::move(C));
-    }
+    for (const FieldResult &FR : R.Fields)
+      Rec->addCheck(FR.Record);
   }
   return R;
 }

@@ -19,13 +19,10 @@
 #include "drivers/ModelGen.h"
 #include "kiss/KissChecker.h"
 #include "seqcheck/CommonOptions.h"
+#include "telemetry/Telemetry.h"
 
 #include <cstdint>
 #include <vector>
-
-namespace kiss::telemetry {
-class RunRecorder;
-} // namespace kiss::telemetry
 
 namespace kiss::drivers {
 
@@ -39,18 +36,10 @@ struct FieldResult {
   gov::BoundReason Bound = gov::BoundReason::None;
   uint64_t StatesExplored = 0;
   uint64_t TransitionsExplored = 0;
-  /// Exploration telemetry of the field's sequential run.
-  rt::ExplorationStats Exploration;
-  /// Exploration time-series of the field's sequential run (empty unless
-  /// CorpusRunOptions::SampleEvery is set). Deterministic at every job
-  /// count: samples are keyed by state count, not wall clock.
-  std::vector<rt::ExplorationSample> Series;
-  /// Source-resolved hot-path profile (empty unless
-  /// CorpusRunOptions::Profile is set).
-  std::vector<rt::LineProfile> Profile;
-  /// Wall time of this field's check alone (compile + transform + check),
-  /// so reports can rank the slowest fields.
-  double Seconds = 0;
+  /// The field's check record ("<driver>.<field>"), built as soon as its
+  /// check returns. WallMs covers compile + transform + check; the series
+  /// and profile are deterministic at every job count.
+  telemetry::CheckRecord Record;
 };
 
 /// Per-driver tallies of one corpus run.
@@ -78,9 +67,9 @@ struct CorpusRunOptions {
   ///    hardware threads; the historical corpus default). Verdicts,
   ///    counts, and field order are identical at every job count.
   ///  * Common.Recorder: if set, runDriver appends one phase span per
-  ///    driver and one check record per field, *after* the worker join and
-  ///    in field order — every report field except wall times is identical
-  ///    at every job count.
+  ///    driver and each field's FieldResult::Record, *after* the worker
+  ///    join and in field order — every report field except wall times is
+  ///    identical at every job count.
   rt::CommonOptions Common{gov::RunBudget(), nullptr, /*Jobs=*/0};
   /// Fault injection (deterministic per field index, so results and
   /// reports stay identical at every job count):

@@ -31,6 +31,28 @@ const char *core::getVerdictName(KissVerdict V) {
   return "?";
 }
 
+KissReport core::stoppedReport(gov::BoundReason Why) {
+  KissReport R;
+  R.Verdict = KissVerdict::BoundExceeded;
+  R.Sequential.Outcome = rt::CheckOutcome::BoundExceeded;
+  R.Sequential.Bound = Why;
+  return R;
+}
+
+telemetry::CheckRecord core::makeCheckRecord(const KissReport &R,
+                                             std::string Name,
+                                             double WallMs) {
+  telemetry::CheckRecord C =
+      rt::makeCheckRecord(R.Sequential, std::move(Name), WallMs, R.Profile);
+  C.Outcome = getVerdictName(R.Verdict);
+  C.Engine = rt::getEngineName(R.EngineUsed);
+  if (R.EngineUsed == rt::Engine::Bebop)
+    C.ExecEngine = "none";
+  C.PathEdges = R.PathEdges;
+  C.SummaryEdges = R.SummaryEdges;
+  return C;
+}
+
 namespace {
 
 /// Opens a phase span on the options' recorder, or a no-op span when
@@ -120,16 +142,13 @@ KissReport runPipeline(const Program &P, std::unique_ptr<Program> Transformed,
                        const KissOptions &Opts, TransformStats Stats,
                        DiagnosticEngine &Diags) {
   (void)P;
-  KissReport R;
+  KissReport R =
+      Transformed ? KissReport() : stoppedReport(gov::BoundReason::Fault);
   R.Stats = Stats;
   R.EngineUsed =
       Opts.Engine == rt::Engine::Bebop ? rt::Engine::Bebop : rt::Engine::Seq;
-
   if (!Transformed) {
-    R.Verdict = KissVerdict::BoundExceeded;
     R.Message = "transformation failed";
-    R.Sequential.Outcome = rt::CheckOutcome::BoundExceeded;
-    R.Sequential.Bound = gov::BoundReason::Fault;
     return R;
   }
 

@@ -25,6 +25,10 @@
 
 #include <memory>
 
+namespace kiss::telemetry {
+struct CheckRecord;
+} // namespace kiss::telemetry
+
 namespace kiss::core {
 
 /// Options for one end-to-end check.
@@ -108,6 +112,16 @@ struct KissReport {
   /// budget, deadline, memory budget, or cooperative cancellation.
   gov::BoundReason boundReason() const { return Sequential.Bound; }
 };
+
+/// The report of a check that stopped without a result (cancelled before
+/// it started, faulted): BoundExceeded for reason \p Why, no exploration.
+KissReport stoppedReport(gov::BoundReason Why);
+
+/// Builds the check record every entry point reports for \p R: the
+/// caller names it and times it, the rest comes from R (on top of
+/// rt::makeCheckRecord; a bebop run has no exec engine, "none").
+telemetry::CheckRecord makeCheckRecord(const KissReport &R, std::string Name,
+                                       double WallMs);
 
 /// Checks the assertions of concurrent core program \p P (Figure 4 mode).
 KissReport checkAssertions(const lang::Program &P, const KissOptions &Opts,

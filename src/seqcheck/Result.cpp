@@ -105,8 +105,13 @@ rt::resolveProfile(const std::vector<NodeProfile> &Raw,
   return Rows;
 }
 
-void rt::fillExplorationRecord(telemetry::CheckRecord &C, const CheckResult &R,
-                               const std::vector<LineProfile> &Profile) {
+telemetry::CheckRecord
+rt::makeCheckRecord(const CheckResult &R, std::string Name, double WallMs,
+                    const std::vector<LineProfile> &Profile) {
+  telemetry::CheckRecord C;
+  C.Name = std::move(Name);
+  C.Outcome = getOutcomeName(R.Outcome);
+  C.WallMs = WallMs;
   C.States = R.StatesExplored;
   C.Transitions = R.TransitionsExplored;
   C.DedupHits = R.Exploration.DedupHits;
@@ -118,14 +123,15 @@ void rt::fillExplorationRecord(telemetry::CheckRecord &C, const CheckResult &R,
   C.FrontierPeak = R.Exploration.FrontierPeak;
   C.DepthMax = R.Exploration.DepthMax;
   C.BoundReason = gov::getBoundReasonName(R.Bound);
-  C.Series.clear();
+  C.ExecEngine = getExecEngineName(R.Exec);
+  C.Engine = R.Conc ? "conc" : "seq";
   C.Series.reserve(R.Series.size());
   for (const ExplorationSample &S : R.Series)
     C.Series.push_back({S.States, S.Transitions, S.DedupHits, S.Frontier,
                         S.ArenaBytes, S.IndexBytes, S.DepthMax, S.WallMs});
-  C.Profile.clear();
   C.Profile.reserve(Profile.size());
   for (const LineProfile &P : Profile)
     C.Profile.push_back({P.File, P.Line, P.States, P.Transitions,
                          P.DedupHits});
+  return C;
 }

@@ -14,6 +14,7 @@
 #define KISS_SEQCHECK_RESULT_H
 
 #include "lang/AST.h"
+#include "seqcheck/CommonOptions.h"
 #include "support/Governor.h"
 #include "support/SourceLoc.h"
 
@@ -128,6 +129,11 @@ struct CheckResult {
   /// Raw per-node profile (empty unless Profile was set). Resolve to
   /// source lines with resolveProfile().
   std::vector<NodeProfile> Profile;
+  /// Which search produced the result (its check record's identity): the
+  /// execution engine, and whether it was the conc engine (which steps
+  /// threads with the interpreter) rather than the sequential checker.
+  ExecEngine Exec = ExecEngine::Threaded;
+  bool Conc = false;
 
   bool foundError() const {
     return Outcome == CheckOutcome::AssertionFailure ||
@@ -164,12 +170,12 @@ std::vector<LineProfile> resolveProfile(const std::vector<NodeProfile> &Raw,
                                         const cfg::ProgramCFG &CFG,
                                         const SourceManager *SM);
 
-/// Copies the exploration side of \p R — counts, hash-index stats, the
-/// sampled series, and \p Profile — into the telemetry check record \p C.
-/// Does not touch identity/timing fields (Name, Outcome, WallMs,
-/// ExecEngine, StatesPerSec); BoundReason is filled from R.Bound.
-void fillExplorationRecord(telemetry::CheckRecord &C, const CheckResult &R,
-                           const std::vector<LineProfile> &Profile = {});
+/// Builds the check record of raw result \p R, named \p Name and timed at
+/// \p WallMs: everything else comes from R, plus \p Profile (R.Profile
+/// resolved by resolveProfile, if wanted).
+telemetry::CheckRecord
+makeCheckRecord(const CheckResult &R, std::string Name, double WallMs,
+                const std::vector<LineProfile> &Profile = {});
 
 } // namespace kiss::rt
 

@@ -82,7 +82,9 @@ private:
 CheckResult seqcheck::checkProgram(const lang::Program &P,
                                    const cfg::ProgramCFG &CFG,
                                    const SeqOptions &Opts) {
-  if (Opts.Exec == rt::ExecEngine::Threaded)
-    return exec::checkProgramThreaded(P, CFG, Opts);
-  return InterpEngine(P, CFG, Opts).run();
+  CheckResult R = Opts.Exec == rt::ExecEngine::Threaded
+                      ? exec::checkProgramThreaded(P, CFG, Opts)
+                      : InterpEngine(P, CFG, Opts).run();
+  R.Exec = Opts.Exec;
+  return R;
 }

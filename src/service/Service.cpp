@@ -102,19 +102,12 @@ int service::runRequest(Session &S, const Request &R, std::string &Core,
   if (S.hasErrors())
     return Reject("check rejected", S.diagnostics());
 
-  telemetry::CheckRecord C;
-  C.Name = R.Field.empty() ? R.Name : R.Name + ":" + R.Field;
-  C.Outcome = core::getVerdictName(CR.Verdict);
-  rt::fillExplorationRecord(C, CR.Sequential, CR.Profile);
-  C.ExecEngine = CR.EngineUsed == rt::Engine::Bebop
-                     ? "none"
-                     : rt::getExecEngineName(S.config().Exec);
-  C.Engine = rt::getEngineName(CR.EngineUsed);
-  C.PathEdges = CR.PathEdges;
-  C.SummaryEdges = CR.SummaryEdges;
   telemetry::ReportOptions RO;
   RO.ZeroTimings = true; // The core is cached; it must not carry clocks.
-  std::string Record = telemetry::renderCheckRecord(C, RO);
+  std::string Record = telemetry::renderCheckRecord(
+      core::makeCheckRecord(
+          CR, R.Field.empty() ? R.Name : R.Name + ":" + R.Field, 0),
+      RO);
 
   std::string Trace;
   if (CR.foundError())

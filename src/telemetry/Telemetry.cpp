@@ -212,7 +212,8 @@ std::string telemetry::renderCheckRecord(const CheckRecord &C,
   Out += "\", \"engine\": \"";
   Out += escapeJson(C.Engine);
   Out += "\", \"states_per_sec\": ";
-  appendU64(Out, Opts.ZeroTimings ? 0 : C.StatesPerSec);
+  appendU64(Out, Opts.ZeroTimings || C.WallMs <= 0 ? 0
+                 : static_cast<uint64_t>(C.States * 1000.0 / C.WallMs));
   Out += ", \"series\": [";
   for (size_t J = 0; J != C.Series.size(); ++J) {
     const SeriesPoint &S = C.Series[J];

@@ -13,6 +13,7 @@
 
 #include "drivers/Corpus.h"
 #include "drivers/CorpusRunner.h"
+#include "kiss/Kiss.h"
 #include "support/Parallel.h"
 #include "telemetry/Telemetry.h"
 
@@ -165,6 +166,54 @@ TEST(ParallelRunnerTest, JobCountDoesNotChangeTheTelemetryReport) {
   // And the report actually has content: one check record per field.
   for (const FieldSpec &F : D->Fields)
     EXPECT_NE(R1.find(D->Name + "." + F.Name), std::string::npos) << F.Name;
+}
+
+TEST(ParallelRunnerTest, FieldRecordsAreTheBuildersRecords) {
+  // One way to build a check record: every field record runDriver reports
+  // is exactly what core::makeCheckRecord builds from the same field
+  // checked through a Session, engine identity included.
+  auto Corpus = getTable1Corpus();
+  const DriverSpec *D = smallestDriverWith(Corpus, 3);
+  ASSERT_NE(D, nullptr);
+
+  telemetry::RunRecorder Rec;
+  CorpusRunOptions Opts;
+  Opts.Common.Jobs = 2;
+  Opts.Common.Recorder = &Rec;
+  Opts.SampleEvery = 64;
+  Opts.Profile = true;
+  runDriver(*D, Opts);
+  ASSERT_EQ(Rec.checks().size(), D->Fields.size());
+
+  telemetry::ReportOptions ZeroTimings;
+  ZeroTimings.ZeroTimings = true;
+  for (unsigned I = 0; I != D->Fields.size(); ++I) {
+    const std::string Name = D->Name + "." + D->Fields[I].Name;
+    SCOPED_TRACE(Name);
+    CheckConfig Cfg;
+    Cfg.M = CheckConfig::Mode::Race;
+    Cfg.MaxTs = 0;
+    Cfg.MaxStates = Opts.FieldStateBudget;
+    Cfg.SampleEvery = Opts.SampleEvery;
+    Cfg.Profile = Opts.Profile;
+    Session S(Cfg);
+    auto P = S.compile(Name, buildFieldProgram(*D, I, Opts.Harness));
+    ASSERT_TRUE(P != nullptr) << S.diagnostics();
+    std::string Error;
+    ASSERT_TRUE(S.resolveRaceTarget(std::string(getDeviceExtensionName()) +
+                                        "." + D->Fields[I].Name,
+                                    *P, S.config().Race, Error))
+        << Error;
+    std::string Want = telemetry::renderCheckRecord(
+        core::makeCheckRecord(S.check(*P), Name, 0), ZeroTimings);
+
+    std::string Got = telemetry::renderCheckRecord(Rec.checks()[I],
+                                                   ZeroTimings);
+    EXPECT_EQ(Got, Want);
+    EXPECT_NE(Got.find("\"exec_engine\": \"threaded\", \"engine\": \"seq\""),
+              std::string::npos)
+        << Got;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -38,7 +38,9 @@ threshold (20% by default). --counts-only restricts the comparison to the
 deterministic fields (states, transitions, dedup hits, counter values) so
 it is safe to run on shared CI machines where timings are noisy; the CTest
 guard uses this mode. --validate checks a single report against the
-envelope expected by this script (used to gate kisscheck --report output).
+envelope expected by this script (used to gate kisscheck --report output),
+including that a check which explored states or path edges names its
+check backend ("engine" is not "none").
 --selftest exercises the comparison logic on built-in fixtures.
 
 --gate evaluates absolute/relative assertions against ONE report's checks
@@ -161,6 +163,13 @@ def validate(report, where="report"):
                         problems.append(
                             "%s: checks[%d] profile[%d] bad field %r"
                             % (where, i, j, field))
+        # Only records that explore nothing (fuzz findings, synthetic
+        # latency records) may lack a check backend.
+        if c.get("engine") == "none" and any(
+                isinstance(c.get(f), int) and c[f] > 0
+                for f in ("states", "path_edges")):
+            problems.append("%s: checks[%d] explored states under engine "
+                            "'none'" % (where, i))
     return problems
 
 
@@ -388,6 +397,19 @@ def selftest():
     bad = report(1, 1.0)
     del check(bad)["engine"]
     expect_invalid(bad, "check without an engine")
+    bad = report(1, 1.0)
+    check(bad).update(engine="none", exec_engine="none")
+    expect_invalid(bad, "states under engine 'none'")
+    bad = report(0, 1.0)
+    check(bad).update(engine="none", exec_engine="none", path_edges=3)
+    expect_invalid(bad, "path edges under engine 'none'")
+    finding = report(0, 1.0)
+    check(finding).update(engine="none", exec_engine="none")
+    probs = validate(finding)
+    if probs:
+        ok = False
+        sys.stderr.write("selftest: record without exploration under "
+                         "engine 'none' rejected: %s\n" % probs)
 
     def expect_diff(mutate, flagged, what):
         nonlocal ok

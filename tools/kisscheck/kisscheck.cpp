@@ -250,27 +250,6 @@ CheckConfig makeConfig(const CliOptions &Opts, telemetry::RunRecorder *Rec,
   return Cfg;
 }
 
-/// Converts an exploration result to a report check record. \p ExecEngine
-/// is the engine label for the record ("interp"/"threaded" for sequential
-/// explorations, "interp" for the conc engine's step interpreter).
-telemetry::CheckRecord makeCheckRecord(std::string Name, std::string Outcome,
-                                       const rt::CheckResult &R,
-                                       double WallMs, std::string ExecEngine,
-                                       const std::vector<rt::LineProfile>
-                                           &Profile = {}) {
-  telemetry::CheckRecord C;
-  C.Name = std::move(Name);
-  C.Outcome = std::move(Outcome);
-  C.WallMs = WallMs;
-  rt::fillExplorationRecord(C, R, Profile);
-  C.ExecEngine = std::move(ExecEngine);
-  C.StatesPerSec =
-      WallMs > 0 ? static_cast<uint64_t>(
-                       static_cast<double>(R.StatesExplored) * 1000.0 / WallMs)
-                 : 0;
-  return C;
-}
-
 /// Prints the --profile top-N file:line table.
 void printProfile(const std::vector<rt::LineProfile> &Profile,
                   unsigned TopN) {
@@ -331,101 +310,78 @@ bool maybeWriteReport(const CliOptions &Opts, telemetry::RunRecorder &Rec) {
   return Ok;
 }
 
+/// One race-all task: checks race location \p Loc of \p Source in its own
+/// Session (the transform interns symbols into the program's table, so
+/// tasks cannot share one), sets \p Verdict and \returns the location's
+/// check record, built as soon as the check returns.
+telemetry::CheckRecord checkLocation(const CliOptions &Opts,
+                                     const std::string &Name,
+                                     const std::string &Source,
+                                     const std::string &Loc,
+                                     KissVerdict &Verdict) {
+  auto Start = std::chrono::steady_clock::now();
+  auto Record = [&](const KissReport &R) {
+    Verdict = R.Verdict;
+    return makeCheckRecord(R, Name + ":" + Loc, msSince(Start));
+  };
+  // Cancel-and-drain: locations not yet started degrade to a cancelled
+  // bound-exceeded report without running; locations already exploring
+  // trip through their own governor.
+  if (GlobalCancel.isCancelled()) {
+    KissReport R = stoppedReport(gov::BoundReason::Cancelled);
+    R.Sequential.Exec = Opts.Cfg.Exec;
+    return Record(R);
+  }
+  // The recorder is shared at the run level, so tasks must not also
+  // stream compile spans into it concurrently.
+  CheckConfig Cfg = makeConfig(Opts, /*Rec=*/nullptr, /*Beat=*/nullptr);
+  Cfg.M = CheckConfig::Mode::Race;
+  Session Task(Cfg);
+  auto TaskP = Task.compile(Name, Source);
+  std::string Error;
+  if (!TaskP ||
+      !Task.resolveRaceTarget(Loc, *TaskP, Task.config().Race, Error))
+    return Record(stoppedReport(gov::BoundReason::Fault)); // Cannot happen.
+  return Record(Task.check(*TaskP));
+}
+
 /// The paper's per-field workflow: one race check per global and per
 /// struct field, with a summary table (§6). Locations fan out over
-/// --jobs workers; the transform interns symbols into the program's
-/// table, so every worker task runs its own Session over the source.
-/// Telemetry: check records are appended after the join, in location
-/// order, so reports are deterministic at every job count.
+/// --jobs workers; their check records are appended after the join, in
+/// location order, so reports are deterministic at every job count.
 int runRaceAll(Session &S, const lang::Program &P, const CliOptions &Opts,
                const std::string &Name, const std::string &Source,
                telemetry::RunRecorder &Rec) {
-  struct Row {
-    std::string Name;
-    KissVerdict V = KissVerdict::BoundExceeded;
-    rt::CheckResult Sequential;
-    std::vector<rt::LineProfile> Profile;
-    double WallMs = 0;
-    rt::Engine EngineUsed = rt::Engine::Seq;
-    uint64_t PathEdges = 0;
-    uint64_t SummaryEdges = 0;
-  };
-  std::vector<Row> Rows;
-  for (std::string &Loc : S.raceLocations(P)) {
-    Row R;
-    R.Name = std::move(Loc);
-    Rows.push_back(std::move(R));
-  }
-
-  parallelFor(Rows.size(), Opts.Cfg.Common.Jobs, [&](size_t I) {
-    auto Start = std::chrono::steady_clock::now();
-    // Cancel-and-drain: locations not yet started degrade to a cancelled
-    // bound-exceeded row without running; locations already exploring
-    // trip through their own governor.
-    if (GlobalCancel.isCancelled()) {
-      Rows[I].V = KissVerdict::BoundExceeded;
-      Rows[I].Sequential.Outcome = rt::CheckOutcome::BoundExceeded;
-      Rows[I].Sequential.Bound = gov::BoundReason::Cancelled;
-      Rows[I].Sequential.Message = "run cancelled";
-      return;
-    }
-    // One Session per task: the recorder is shared at the run level, so
-    // workers must not also stream compile spans into it concurrently.
-    CheckConfig Cfg = makeConfig(Opts, /*Rec=*/nullptr, /*Beat=*/nullptr);
-    Cfg.M = CheckConfig::Mode::Race;
-    Session Task(Cfg);
-    auto TaskP = Task.compile(Name, Source);
-    std::string Error;
-    if (!TaskP || !Task.resolveRaceTarget(Rows[I].Name, *TaskP,
-                                          Task.config().Race, Error)) {
-      Rows[I].V = KissVerdict::BoundExceeded; // Cannot happen: P compiled.
-      return;
-    }
-    CheckResult R = Task.check(*TaskP);
-    Rows[I].V = R.Verdict;
-    Rows[I].Sequential = std::move(R.Sequential);
-    Rows[I].Profile = std::move(R.Profile);
-    Rows[I].WallMs = msSince(Start);
-    Rows[I].EngineUsed = R.EngineUsed;
-    Rows[I].PathEdges = R.PathEdges;
-    Rows[I].SummaryEdges = R.SummaryEdges;
+  std::vector<std::string> Locations = S.raceLocations(P);
+  std::vector<KissVerdict> Verdicts(Locations.size());
+  std::vector<telemetry::CheckRecord> Records(Locations.size());
+  parallelFor(Locations.size(), Opts.Cfg.Common.Jobs, [&](size_t I) {
+    Records[I] = checkLocation(Opts, Name, Source, Locations[I], Verdicts[I]);
   });
 
   unsigned Races = 0, Clean = 0, Other = 0;
   std::printf("%-40s %-20s %10s\n", "location", "verdict", "states");
-  for (const Row &R : Rows) {
-    std::string VerdictText = getVerdictName(R.V);
-    if (R.V == KissVerdict::BoundExceeded &&
-        R.Sequential.Bound != gov::BoundReason::None)
-      VerdictText +=
-          std::string(" (") + gov::getBoundReasonName(R.Sequential.Bound) +
-          ")";
-    std::printf("%-40s %-20s %10llu\n", R.Name.c_str(), VerdictText.c_str(),
-                static_cast<unsigned long long>(
-                    R.Sequential.StatesExplored));
-    if (R.V == KissVerdict::RaceDetected)
+  for (size_t I = 0; I != Locations.size(); ++I) {
+    const telemetry::CheckRecord &C = Records[I];
+    std::string VerdictText = C.Outcome;
+    if (Verdicts[I] == KissVerdict::BoundExceeded && C.BoundReason != "none")
+      VerdictText += " (" + C.BoundReason + ")";
+    std::printf("%-40s %-20s %10llu\n", Locations[I].c_str(),
+                VerdictText.c_str(), static_cast<unsigned long long>(C.States));
+    if (Verdicts[I] == KissVerdict::RaceDetected)
       ++Races;
-    else if (R.V == KissVerdict::NoErrorFound)
+    else if (Verdicts[I] == KissVerdict::NoErrorFound)
       ++Clean;
     else
       ++Other;
-    telemetry::CheckRecord C = makeCheckRecord(
-        Name + ":" + R.Name, getVerdictName(R.V), R.Sequential, R.WallMs,
-        R.EngineUsed == rt::Engine::Bebop
-            ? "none"
-            : rt::getExecEngineName(Opts.Cfg.Exec),
-        R.Profile);
-    C.Engine = rt::getEngineName(R.EngineUsed);
-    C.PathEdges = R.PathEdges;
-    C.SummaryEdges = R.SummaryEdges;
-    Rec.addCheck(std::move(C));
+    Rec.addCheck(C);
   }
-  Rec.addCounter("locations_checked", Rows.size());
+  Rec.addCounter("locations_checked", Locations.size());
   Rec.addCounter("races", Races);
   Rec.addCounter("clean", Clean);
   Rec.addCounter("inconclusive", Other);
   std::printf("\nsummary: %u race(s), %u clean, %u inconclusive over %zu "
-              "locations\n", Races, Clean, Other, Rows.size());
+              "locations\n", Races, Clean, Other, Locations.size());
   if (GlobalCancel.isCancelled()) {
     // Interrupted run: flush what we have as a valid *partial* report
     // marked interrupted, then exit through the bound-exceeded code.
@@ -466,11 +422,7 @@ int runConcEngine(const lang::Program &P, const CliOptions &Opts,
   std::vector<rt::LineProfile> Prof;
   if (Opts.Cfg.Profile)
     Prof = rt::resolveProfile(R.Profile, CFG, &Ctx.SM);
-  telemetry::CheckRecord C = makeCheckRecord(
-      Name, rt::getOutcomeName(R.Outcome), R, msSince(Start),
-      rt::getExecEngineName(rt::ExecEngine::Interp), Prof);
-  C.Engine = "conc";
-  Rec.addCheck(std::move(C));
+  Rec.addCheck(rt::makeCheckRecord(R, Name, msSince(Start), Prof));
 
   if (R.Outcome == rt::CheckOutcome::BoundExceeded &&
       R.Bound != gov::BoundReason::None)
@@ -599,15 +551,7 @@ int main(int Argc, char **Argv) {
     return cli::ExitNoError;
   }
 
-  telemetry::CheckRecord C = makeCheckRecord(
-      Name, getVerdictName(R.Verdict), R.Sequential, msSince(Start),
-      R.EngineUsed == rt::Engine::Bebop ? "none"
-                                        : rt::getExecEngineName(Opts.Cfg.Exec),
-      R.Profile);
-  C.Engine = rt::getEngineName(R.EngineUsed);
-  C.PathEdges = R.PathEdges;
-  C.SummaryEdges = R.SummaryEdges;
-  Rec.addCheck(std::move(C));
+  Rec.addCheck(makeCheckRecord(R, Name, msSince(Start)));
   Rec.addCounter("probes_emitted", R.Stats.ProbesEmitted);
   Rec.addCounter("probes_pruned", R.Stats.ProbesPruned);
 
