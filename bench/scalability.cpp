@@ -191,5 +191,6 @@ int main(int Argc, char **Argv) {
   Rec.setMeta("shape_holds", ShapeHolds ? "true" : "false");
   telemetry::writeReport(Rec, "BENCH_scalability.json");
   std::printf("wrote BENCH_scalability.json\n");
+  printProcessUsage();
   return ShapeHolds ? 0 : 1;
 }

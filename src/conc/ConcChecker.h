@@ -27,6 +27,10 @@
 /// acquire). A state where no thread is enabled is a terminal state, not an
 /// error (the paper treats a blocked assume as blocking forever).
 ///
+/// The search is seqcheck::checkProgramInterp with async allowed: the
+/// same stepThread engine the sequential checker runs under
+/// --exec=interp, where the program has only one thread.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef KISS_CONC_CONCCHECKER_H

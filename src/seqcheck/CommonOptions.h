@@ -35,7 +35,9 @@ namespace kiss::rt {
 /// ExplorationStats counter); Threaded is the fast path, Interp the simple
 /// reference kept alive as the differential oracle.
 enum class ExecEngine : uint8_t {
-  Interp,   ///< AST/CFG-walking interpreter (seqcheck/Step.cpp).
+  Interp,   ///< The stepThread engine (seqcheck::checkProgramInterp):
+            ///< the CFG-walking transition relation of seqcheck/Step.cpp,
+            ///< the same engine conc runs with async allowed.
   Threaded, ///< Flat pre-lowered instruction stream + in-place successor
             ///< encoding (seqcheck/exec/), the default.
 };

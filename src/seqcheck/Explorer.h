@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// rt::Explorer is the breadth-first search every explicit-state engine
-/// runs: the interpreter and the threaded-code engine (seqcheck) and the
-/// interleaving checker (conc). It owns everything around a state's
-/// expansion, once:
+/// rt::Explorer is the breadth-first search both explicit-state engines
+/// run: the threaded-code engine and the stepThread engine, which is the
+/// sequential interpreter and the interleaving checker (conc) in one. It
+/// owns everything around a state's expansion, once:
 ///
 ///  * the visited-set StateStore and the parent links the counterexample
 ///    trace is rebuilt from (its ExploreWorkspace, borrowed from a
@@ -24,9 +24,8 @@
 /// cursor. It is a template parameter of run(), so successor emission is a
 /// direct (inlinable) call, never a virtual one. The engine provides
 ///
-///   void root(MachineState Init, std::string &Key);
-///       Encode the initial state into Key (and keep it, if the engine
-///       carries decoded states).
+///   void root(const MachineState &Init, std::string &Key);
+///       Encode the initial state into Key.
 ///   StepResult::Kind expand(uint32_t Id, Explorer::Fault &F);
 ///       Expand state Id, calling emit() once per successor and
 ///       attribute() once per executed step. Ok and Blocked continue the
@@ -36,8 +35,10 @@
 /// Ids are dense in first-seen order and every interned id is expanded
 /// exactly once, in id order, so the FIFO queue is implicit: the frontier
 /// is always Store.size() minus the states popped, and BFS layers are
-/// contiguous id ranges, so depth needs no per-state array. Engines that
-/// carry decoded states keep them in a FIFO aligned with those ids.
+/// contiguous id ranges, so depth needs no per-state array. Both engines
+/// decode the state at the cursor from its key (store().key(Id)), so the
+/// store is the only copy of every state and the memory budget counts
+/// all of them.
 ///
 /// The workspace pool. A KISS evaluation is hundreds of small searches
 /// back to back, each growing a visited set of up to ~30 MB. Freeing it

@@ -42,6 +42,18 @@ rt::CheckResult checkProgram(const lang::Program &P,
                              const cfg::ProgramCFG &CFG,
                              const SeqOptions &Opts = SeqOptions());
 
+/// The one stepThread engine (rt::ExecEngine::Interp): explores \p P by
+/// stepping every thread the scheduling rules of conc/ConcChecker.h allow
+/// with the shared transition relation under \p SO. With SO.AllowAsync off
+/// the program keeps one thread and this is the sequential interpreter;
+/// with it on, the interleaving checker. If \p ContextSwitchBound >= 0,
+/// only executions with at most that many context switches are explored.
+rt::CheckResult checkProgramInterp(const lang::Program &P,
+                                   const cfg::ProgramCFG &CFG,
+                                   const rt::ExploreOptions &Opts,
+                                   const rt::StepOptions &SO,
+                                   int32_t ContextSwitchBound = -1);
+
 } // namespace kiss::seqcheck
 
 #endif // KISS_SEQCHECK_SEQCHECKER_H

@@ -6,9 +6,11 @@
 ///
 /// \file
 /// Executes one CFG node of one thread, producing all successor machine
-/// states. This is the single transition relation shared by the sequential
-/// engine (which always steps thread 0 of a single-thread state) and the
-/// concurrent engine (which layers thread scheduling on top).
+/// states. This is the transition relation of the stepThread engine
+/// (seqcheck::checkProgramInterp), which layers thread scheduling on top:
+/// a sequential program has only thread 0, and conc steps every thread
+/// the scheduling rules allow. The threaded engine implements the same
+/// relation on its lowered instruction stream.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -110,7 +110,7 @@ public:
 
   CheckResult run() { return X.run(*this); }
 
-  void root(MachineState Init, std::string &Key) {
+  void root(const MachineState &Init, std::string &Key) {
     encodeStateInto(Init, Key);
   }
 

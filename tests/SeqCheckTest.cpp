@@ -276,12 +276,41 @@ TEST(SeqCheckTest, UninitializedUseIsRuntimeError) {
 }
 
 TEST(SeqCheckTest, AsyncIsRejectedBySequentialEngine) {
-  CheckResult R = run(R"(
-    void f() { skip; }
-    void main() { async f(); }
-  )");
-  EXPECT_EQ(R.Outcome, CheckOutcome::RuntimeError);
-  EXPECT_NE(R.Message.find("async"), std::string::npos);
+  for (ExecEngine E : {ExecEngine::Interp, ExecEngine::Threaded}) {
+    SCOPED_TRACE(getExecEngineName(E));
+    seqcheck::SeqOptions Opts;
+    Opts.Exec = E;
+    CheckResult R = run(R"(
+      void f() { skip; }
+      void main() { async f(); }
+    )", Opts);
+    EXPECT_EQ(R.Outcome, CheckOutcome::RuntimeError);
+    EXPECT_NE(R.Message.find("async"), std::string::npos);
+  }
+}
+
+// A thread blocked inside an atomic section with no other thread to run:
+// the state is terminal, not an error, and both engines count the same
+// search.
+TEST(SeqCheckTest, BlockedAtomicSectionIsTerminal) {
+  std::vector<CheckResult> Rs;
+  for (ExecEngine E : {ExecEngine::Interp, ExecEngine::Threaded}) {
+    SCOPED_TRACE(getExecEngineName(E));
+    seqcheck::SeqOptions Opts;
+    Opts.Exec = E;
+    Rs.push_back(run(R"(
+      int g = 0;
+      void main() {
+        g = 1;
+        atomic { assume(false); }
+        assert(false);
+      }
+    )", Opts));
+    EXPECT_EQ(Rs.back().Outcome, CheckOutcome::Safe);
+    EXPECT_GT(Rs.back().StatesExplored, 1u);
+  }
+  EXPECT_EQ(Rs[0].StatesExplored, Rs[1].StatesExplored);
+  EXPECT_EQ(Rs[0].TransitionsExplored, Rs[1].TransitionsExplored);
 }
 
 TEST(SeqCheckTest, StateBudgetReportsBoundExceeded) {
