@@ -61,6 +61,7 @@
 #include "seqcheck/Profile.h"
 #include "seqcheck/StateStore.h"
 #include "seqcheck/Step.h"
+#include "support/Hashing.h"
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
@@ -133,11 +134,14 @@ public:
   /// Runs the search to completion or to the first error or bound.
   template <class Engine> CheckResult run(Engine &E);
 
-  /// Interns \p Key, a successor of state \p Parent reached by \p Step.
+  /// Interns \p Key, a successor of state \p Parent reached by \p Step,
+  /// under \p Hash, which must equal keyHash(Key).
   /// \returns true if it is a new state; its id is then the next one.
-  bool emit(std::string_view Key, uint32_t Parent, const TraceStep &Step) {
+  bool emit(std::string_view Key, uint32_t Parent, const TraceStep &Step,
+            uint64_t Hash) {
+    assert(Hash == keyHash(Key) && "successor hash out of step with its key");
     ++R.TransitionsExplored;
-    auto [Id, Inserted] = Store.internChild(Key, Parent);
+    auto [Id, Inserted] = Store.internChild(Key, Parent, Hash);
     if (!Inserted)
       return false;
     assert(Id == Links.size() && "ids are dense in insertion order");

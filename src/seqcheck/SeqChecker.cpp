@@ -132,7 +132,7 @@ private:
         }
         for (const MachineState &NS : SR.Successors) {
           makeKeyInto(NS, NCtx, Bounded, Scratch);
-          X.emit(Scratch, Id, F.Step);
+          X.emit(Scratch, Id, F.Step, keyHash(Scratch));
         }
         X.attribute(F.Step, M);
         break;

@@ -198,7 +198,7 @@ StateStore::KeyRef StateStore::key(uint32_t Id) const {
 }
 
 std::pair<uint32_t, bool> StateStore::intern(std::string_view Key) {
-  return internImpl(Key, stableHashFast(Key), InvalidId);
+  return internImpl(Key, keyHash(Key), InvalidId);
 }
 
 std::pair<uint32_t, bool> StateStore::intern(std::string_view Key,
@@ -207,8 +207,9 @@ std::pair<uint32_t, bool> StateStore::intern(std::string_view Key,
 }
 
 std::pair<uint32_t, bool> StateStore::internChild(std::string_view Key,
-                                                  uint32_t Parent) {
-  return internImpl(Key, stableHashFast(Key), Parent);
+                                                  uint32_t Parent,
+                                                  uint64_t Hash) {
+  return internImpl(Key, Hash, Parent);
 }
 
 std::pair<uint32_t, bool> StateStore::internImpl(std::string_view Key,

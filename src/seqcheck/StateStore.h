@@ -62,24 +62,28 @@ public:
   /// it between runs costs).
   size_t capacityBytes() const;
 
-  /// Interns encoded state \p Key. \returns the state's dense id (ids are
-  /// assigned 0, 1, 2, ... in first-seen order) and whether the key was
-  /// newly inserted. The bytes are copied; \p Key may be a reused scratch
-  /// buffer. In delta mode a state interned without a parent stores a full
-  /// keyframe.
+  /// Interns encoded state \p Key under keyHash(Key). \returns the
+  /// state's dense id (ids are assigned 0, 1, 2, ... in first-seen order)
+  /// and whether the key was newly inserted. The bytes are copied; \p Key
+  /// may be a reused scratch buffer. In delta mode a state interned
+  /// without a parent stores a full keyframe.
   std::pair<uint32_t, bool> intern(std::string_view Key);
 
-  /// As intern(), additionally naming the BFS parent the state was
-  /// expanded from. In delta mode a newly inserted state is stored as a
-  /// diff against \p Parent (unless a keyframe is due); in flat mode the
-  /// parent is ignored. \p Parent may be InvalidId (root states).
-  std::pair<uint32_t, bool> internChild(std::string_view Key,
-                                        uint32_t Parent);
-
-  /// As intern() with a caller-supplied 64-bit hash. Exposed so tests can
-  /// force two distinct keys into the same index bucket; production
-  /// callers use the one-argument form.
+  /// As intern() with a caller-supplied 64-bit hash, which must be a
+  /// function of \p Key alone: two equal keys interned under different
+  /// hashes become two states. Tests use it to force distinct keys into
+  /// one index bucket.
   std::pair<uint32_t, bool> intern(std::string_view Key, uint64_t Hash);
+
+  /// As intern(Key, Hash), additionally naming the BFS parent the state
+  /// was expanded from. The engines intern every successor here with
+  /// \p Hash == keyHash(Key), which the threaded engine maintains through
+  /// its in-place key patches instead of rehashing the whole key. In delta
+  /// mode a newly inserted state is stored as a diff against \p Parent
+  /// (unless a keyframe is due); in flat mode the parent is ignored.
+  /// \p Parent may be InvalidId (root states).
+  std::pair<uint32_t, bool> internChild(std::string_view Key,
+                                        uint32_t Parent, uint64_t Hash);
 
   /// Number of distinct states interned.
   size_t size() const { return Records.size(); }

@@ -11,6 +11,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <deque>
 
 using namespace kiss;
 using namespace kiss::rt;
@@ -112,6 +113,7 @@ public:
 
   void root(const MachineState &Init, std::string &Key) {
     encodeStateInto(Init, Key);
+    Sums.push_back(keyWordSum(Key));
   }
 
   /// Decodes state \p Id from its key into W and executes its op.
@@ -129,13 +131,17 @@ private:
   /// Interns the current working state as a successor of \p Id.
   void emit(uint32_t Id, const TraceStep &Step) {
     encodeStateInto(W, Scratch);
-    X.emit(Scratch, Id, Step);
+    const uint64_t Sum = keyWordSum(Scratch);
+    if (X.emit(Scratch, Id, Step, keyHashFinish(Sum, Scratch.size())))
+      Sums.push_back(Sum);
   }
 
   /// Interns PKey — the parent's key with successor bytes already patched
-  /// in place — as a successor of \p Id. The fast path: no re-encoding.
+  /// in place — as a successor of \p Id. The fast path: no re-encoding,
+  /// and no rehash either, since PSum followed every patch.
   void emitKey(uint32_t Id, const TraceStep &Step) {
-    X.emit(PKey, Id, Step);
+    if (X.emit(PKey, Id, Step, keyHashFinish(PSum, PKey.size())))
+      Sums.push_back(PSum);
   }
 
   //===--- In-place key patching ---===//
@@ -148,16 +154,43 @@ private:
   // overwrite cannot change heap reachability, so the renumbering and
   // every other byte of the key are untouched. W itself stays pristine
   // (reads for expression evaluation still see the parent state).
+  //
+  // PSum is PKey's key-hash word sum (keyWordSum), and no pop rehashes
+  // PKey to get it: each state's sum is queued in Sums when the state is
+  // interned and taken back when it is popped. Every write to PKey keeps
+  // PSum current: a patch goes through patchBytes(), which rehashes only
+  // the words it touches, and the Call and Return fast paths, which
+  // append or cut the top frame record, rehash the tail from the append
+  // or cut point (tailSum()). No other code writes PKey between the pop
+  // and its last emitKey().
+
+  /// Writes \p Bytes at offset \p Off of PKey and moves PSum along. N is
+  /// a constant, so every copy and word load is a fixed-size move.
+  template <size_t N> void patchBytes(uint32_t Off, const char (&Bytes)[N]) {
+    const size_t First = Off / 8, Last = (Off + N - 1) / 8;
+    for (size_t I = First; I <= Last; ++I)
+      PSum -= keyWordMix(I, loadKeyWord(PKey.data(), PKey.size(), I));
+    std::memcpy(PKey.data() + Off, Bytes, N);
+    for (size_t I = First; I <= Last; ++I)
+      PSum += keyWordMix(I, loadKeyWord(PKey.data(), PKey.size(), I));
+  }
+
+  /// The word sum of PKey from the word holding byte \p Off to the end.
+  uint64_t tailSum(size_t Off) const { return keyWordSum(PKey, Off / 8); }
 
   void patchU32(uint32_t Off, uint32_t V) {
-    std::memcpy(PKey.data() + Off, &V, sizeof(V));
+    char B[sizeof(V)];
+    std::memcpy(B, &V, sizeof(V));
+    patchBytes(Off, B);
   }
 
   void patchValue(uint32_t Off, const Value &V) {
     assert(V.K != ValueKind::Ptr && "pointer records are wider");
-    PKey[Off] = static_cast<char>(V.K);
+    char B[9];
+    B[0] = static_cast<char>(V.K);
     uint64_t I = static_cast<uint64_t>(V.I);
-    std::memcpy(PKey.data() + Off + 1, &I, sizeof(I));
+    std::memcpy(B + 1, &I, sizeof(I));
+    patchBytes(Off, B);
   }
 
   void patchPC(uint32_t PC) { patchU32(Layout.TopPCOff, PC); }
@@ -193,6 +226,10 @@ private:
   std::string Scratch; ///< Encoding buffer, reused per intern.
   MachineState W;      ///< The one working state, reused per pop.
   std::string PKey;    ///< The popped key, patched per successor.
+  uint64_t PSum = 0;   ///< PKey's key-hash word sum, kept through patches.
+  /// The word sums of the interned states not yet expanded, in id order:
+  /// the frontier's, 8 bytes a state.
+  std::deque<uint64_t> Sums;
   KeyLayout Layout;    ///< Patch offsets into PKey.
 };
 
@@ -483,6 +520,7 @@ StepResult::Kind ThreadedEngine::exec(uint32_t Id, Explorer::Fault &F) {
         const FuncInfo &FI = Funcs[Callee];
         const auto &Args = I.CallE->getArgs();
         const size_t Base = PKey.size();
+        const uint64_t OldTail = tailSum(Base);
         PKey.resize(Base + 17 + 14 * size_t(FI.NumLocals));
         char *C = PKey.data() + Base;
         putKeyU32(C, Callee);
@@ -501,6 +539,7 @@ StepResult::Kind ThreadedEngine::exec(uint32_t Id, Explorer::Fault &F) {
         for (unsigned K = Args.size(); K < FI.NumLocals; ++K)
           putKeyValue(C, Value());
         PKey.resize(static_cast<size_t>(C - PKey.data()));
+        PSum += tailSum(Base) - OldTail;
         patchPC(I.Succ0); // Caller resumes after the call.
         patchU32(Layout.AtomicOff + 4,
                  static_cast<uint32_t>(T0.Frames.size()) + 1);
@@ -560,7 +599,10 @@ StepResult::Kind ThreadedEngine::exec(uint32_t Id, Explorer::Fault &F) {
           WriteOk = Ret.K != ValueKind::Ptr && Slot.K != ValueKind::Ptr;
         }
         if (!HeapRefs && WriteOk) {
-          PKey.resize(Layout.TopPCOff - 4); // Func field starts the record.
+          const size_t Cut = Layout.TopPCOff - 4; // Func starts the record.
+          PSum -= tailSum(Cut);
+          PKey.resize(Cut);
+          PSum += tailSum(Cut);
           patchU32(Layout.AtomicOff + 4, static_cast<uint32_t>(NFrames) - 1);
           if (Writes)
             patchValue(RetVar.isGlobal() ? Layout.GlobalOff[RetVar.Index]
@@ -588,6 +630,9 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, Explorer::Fault &F) {
     StateStore::KeyRef K = X.store().key(Id);
     PKey.assign(K.data(), K.size());
   }
+  assert(Sums.size() == X.store().size() - Id && "one queued sum per id");
+  PSum = Sums.front();
+  Sums.pop_front();
   decodeStateInto(PKey, W, Layout);
   if (W.Threads[0].Frames.empty())
     return StepResult::Kind::Ok; // Accepting leaf: the program completed.

@@ -19,6 +19,7 @@
 #include "kiss/KissChecker.h"
 #include "seqcheck/Runtime.h"
 #include "seqcheck/StateStore.h"
+#include "support/Hashing.h"
 
 #include <fstream>
 #include <sstream>
@@ -29,6 +30,13 @@ using namespace kiss::seqcheck;
 using namespace kiss::test;
 
 namespace {
+
+/// Interns \p Key as a child of \p Parent under its key hash, as the
+/// engines do.
+std::pair<uint32_t, bool> internChild(StateStore &Store, std::string_view Key,
+                                      uint32_t Parent) {
+  return Store.internChild(Key, Parent, keyHash(Key));
+}
 
 //===----------------------------------------------------------------------===//
 // Interning and dedup
@@ -108,7 +116,7 @@ TEST(StateStoreTest, GenerationAdvancesOnEveryIntern) {
 TEST(StateStoreTest, FreshKeyRefReadsAreValid) {
   StateStore Store(rt::StoreMode::Delta);
   auto [A, AIns] = Store.intern("a-root-key-0123456789");
-  auto [B, BIns] = Store.internChild("a-root-key-0123456789!", A);
+  auto [B, BIns] = internChild(Store, "a-root-key-0123456789!", A);
   ASSERT_TRUE(AIns && BIns);
   EXPECT_EQ(Store.key(B).view(), "a-root-key-0123456789!");
   EXPECT_EQ(Store.key(A).view(), "a-root-key-0123456789");
@@ -131,7 +139,7 @@ TEST(StateStoreDeathTest, StaleKeyRefTrapsAfterDeltaRematerialize) {
   // second call invalidates the first ref even without an intern.
   StateStore Store(rt::StoreMode::Delta);
   auto [A, AIns] = Store.intern("the-parent-key-aaaaaaaaaaaaaaaa");
-  auto [B, BIns] = Store.internChild("the-parent-key-aaaaaaaaaaaaaaab", A);
+  auto [B, BIns] = internChild(Store, "the-parent-key-aaaaaaaaaaaaaaab", A);
   ASSERT_TRUE(AIns && BIns);
   StateStore::KeyRef RefB = Store.key(B);
   (void)Store.key(A);
@@ -160,8 +168,8 @@ TEST(StateStoreTest, DeltaModeRoundTripsEveryKey) {
     K[(I * 31) % K.size()] = static_cast<char>('0' + (I % 10));
     if (I % 97 == 0)
       K += "grown-tail";
-    auto [FId, FIns] = Flat.internChild(K, Parent);
-    auto [DId, DIns] = Delta.internChild(K, Parent);
+    auto [FId, FIns] = internChild(Flat, K, Parent);
+    auto [DId, DIns] = internChild(Delta, K, Parent);
     EXPECT_EQ(FId, DId);
     EXPECT_EQ(FIns, DIns);
     if (FIns) {
@@ -188,12 +196,14 @@ TEST(StateStoreTest, DeltaModeDedupsReinternedKeys) {
   std::string A(100, 'a'), B = A;
   B[50] = 'b';
   auto [AId, AIns] = Store.intern(A);
-  auto [BId, BIns] = Store.internChild(B, AId);
+  auto [BId, BIns] = internChild(Store, B, AId);
   EXPECT_TRUE(AIns && BIns);
   // Re-interning either key — with or without a parent — must hit.
   EXPECT_EQ(Store.intern(A), (std::pair<uint32_t, bool>{AId, false}));
-  EXPECT_EQ(Store.internChild(B, AId), (std::pair<uint32_t, bool>{BId, false}));
-  EXPECT_EQ(Store.internChild(B, BId), (std::pair<uint32_t, bool>{BId, false}));
+  EXPECT_EQ(internChild(Store, B, AId),
+            (std::pair<uint32_t, bool>{BId, false}));
+  EXPECT_EQ(internChild(Store, B, BId),
+            (std::pair<uint32_t, bool>{BId, false}));
   EXPECT_EQ(Store.size(), 2u);
 }
 
@@ -239,7 +249,7 @@ ReplayResult replay(StateStore &Store, unsigned N, uint64_t Seed) {
       K += "tail";
     else if (I % 223 == 0 && K.size() > 64)
       K.resize(K.size() - 4);
-    record(Store.internChild(K, Parent), K);
+    record(internChild(Store, K, Parent), K);
     if (I % 7 == 0) {
       const std::string &Old = Known[next() % Known.size()];
       record(Store.intern(Old), Old);

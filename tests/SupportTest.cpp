@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 using namespace kiss;
 
 namespace {
@@ -139,6 +142,95 @@ TEST(HashingTest, DeterministicAndSensitive) {
   EXPECT_EQ(A.finish(), B.finish());
   B.addByte(0);
   EXPECT_NE(A.finish(), B.finish());
+}
+
+//===----------------------------------------------------------------------===//
+// The visited-set key hash (keyHash and its word-sum update)
+//===----------------------------------------------------------------------===//
+
+/// A key and its running word sum, updated the way the threaded engine
+/// updates its patch buffer: a patch rehashes only the words it touches,
+/// an append or a truncation rehashes the tail from its first byte.
+struct PatchedKey {
+  std::string Key;
+  uint64_t Sum = 0;
+
+  uint64_t wordMix(size_t I) const {
+    return keyWordMix(I, loadKeyWord(Key.data(), Key.size(), I));
+  }
+
+  void patch(size_t Off, const std::string &Bytes) {
+    const size_t First = Off / 8, Last = (Off + Bytes.size() - 1) / 8;
+    for (size_t I = First; I <= Last; ++I)
+      Sum -= wordMix(I);
+    Key.replace(Off, Bytes.size(), Bytes);
+    for (size_t I = First; I <= Last; ++I)
+      Sum += wordMix(I);
+  }
+
+  void resize(size_t Size, const std::string &Fill) {
+    const size_t From = std::min(Size, Key.size());
+    Sum -= keyWordSum(Key, From / 8);
+    Key.resize(From);
+    Key += Fill.substr(0, Size - From);
+    Sum += keyWordSum(Key, From / 8);
+  }
+
+  uint64_t hash() const { return keyHashFinish(Sum, Key.size()); }
+};
+
+std::string randomBytes(std::mt19937_64 &Rng, size_t N) {
+  std::string S(N, '\0');
+  for (char &C : S)
+    C = static_cast<char>(Rng() % 4 == 0 ? 0 : Rng()); // Zero-heavy.
+  return S;
+}
+
+TEST(KeyHashTest, PatchedSumMatchesFullHash) {
+  std::mt19937_64 Rng(2004);
+  for (unsigned Case = 0; Case != 200; ++Case) {
+    PatchedKey K;
+    K.Key = randomBytes(Rng, Rng() % 301);
+    K.Sum = keyWordSum(K.Key);
+    ASSERT_EQ(K.hash(), keyHash(K.Key)) << "case " << Case;
+    for (unsigned Step = 0; Step != 50; ++Step) {
+      const unsigned Kind = Rng() % 4;
+      if (Kind < 2 && !K.Key.empty()) {
+        const size_t N = 1 + Rng() % std::min<size_t>(14, K.Key.size());
+        K.patch(Rng() % (K.Key.size() - N + 1), randomBytes(Rng, N));
+      } else if (Kind == 2 && K.Key.size() < 300) {
+        const size_t N = 1 + Rng() % (300 - K.Key.size());
+        K.resize(K.Key.size() + N, randomBytes(Rng, N));
+      } else if (!K.Key.empty()) {
+        K.resize(Rng() % K.Key.size(), "");
+      }
+      ASSERT_EQ(K.hash(), keyHash(K.Key))
+          << "case " << Case << " step " << Step << ": " << K.Key.size()
+          << "-byte key";
+    }
+  }
+}
+
+TEST(KeyHashTest, TrailingZeroBytesChangeTheHash) {
+  std::mt19937_64 Rng(17);
+  for (size_t Len = 0; Len != 40; ++Len) {
+    std::string Key = randomBytes(Rng, Len);
+    const uint64_t H = keyHash(Key);
+    // The appended zeros only fill the zero padding or add zero words, so
+    // the length alone must tell the keys apart.
+    for (size_t Zeros = 1; Zeros != 17; ++Zeros)
+      EXPECT_NE(keyHash(Key + std::string(Zeros, '\0')), H)
+          << Len << "-byte key plus " << Zeros << " zero bytes";
+  }
+}
+
+TEST(KeyHashTest, WordPositionMatters) {
+  // Additive over words, so swapping two words must still change the sum.
+  std::string A(16, '\0'), B(16, '\0');
+  A[0] = 1;
+  B[8] = 1;
+  EXPECT_NE(keyHash(A), keyHash(B));
+  EXPECT_NE(keyHash("abcdefgh12345678"), keyHash("12345678abcdefgh"));
 }
 
 //===----------------------------------------------------------------------===//

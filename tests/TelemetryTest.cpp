@@ -299,7 +299,7 @@ const char *const GOLDEN_REPORT =
     "  \"checks\": [\n"
     "    {\"name\": \"golden.kiss\", \"outcome\": \"no error found\", "
     "\"wall_ms\": 0.000, \"states\": 344, \"transitions\": 358, "
-    "\"dedup_hits\": 15, \"hash_probes\": 37, \"key_verifies\": 15, "
+    "\"dedup_hits\": 15, \"hash_probes\": 34, \"key_verifies\": 15, "
     "\"hash_collisions\": 0, \"arena_bytes\": 38999, "
     "\"index_bytes\": 73792, \"frontier_peak\": 18, \"depth_max\": 63, "
     "\"path_edges\": 0, \"summary_edges\": 0, "
