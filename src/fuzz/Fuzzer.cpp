@@ -22,12 +22,10 @@ FuzzSummary fuzz::runCampaign(const FuzzOptions &Opts) {
   };
   std::vector<Slot> Slots(Opts.Cases);
 
-  telemetry::RunRecorder *Rec = Opts.Common.Recorder;
-  OracleOptions OO = Opts.Oracle;
-  OO.Budget = Opts.Common.Budget;
-  const gov::CancellationToken *Cancel = OO.Budget.Cancel;
+  telemetry::RunRecorder *Rec = Opts.Recorder;
+  const gov::CancellationToken *Cancel = Opts.Oracle.Kiss.Common.Budget.Cancel;
 
-  parallelFor(Opts.Cases, Opts.Common.Jobs, [&](size_t I) {
+  parallelFor(Opts.Cases, Opts.Jobs, [&](size_t I) {
     // Cancel-and-drain: queued cases degrade to skipped slots.
     if (Cancel && Cancel->isCancelled())
       return;
@@ -38,14 +36,15 @@ FuzzSummary fuzz::runCampaign(const FuzzOptions &Opts) {
     GenOptions G = Opts.VaryGrammar ? varyOptions(CaseSeed, Opts.Grammar)
                                     : Opts.Grammar;
     S.Source = generateProgram(CaseSeed, G);
-    S.O = runOracle(S.Source, OO);
+    S.O = runOracle(S.Source, Opts.Oracle);
 
     bool Violation = S.O.V == OracleVerdict::SoundnessBug ||
                      S.O.V == OracleVerdict::TraceBug ||
                      S.O.V == OracleVerdict::CompletenessBug ||
                      S.O.V == OracleVerdict::ExecDivergence;
     if (Violation && Opts.Shrink) {
-      ShrinkResult SR = shrink(S.Source, S.O.V, OO, Opts.ShrinkOpts);
+      ShrinkResult SR =
+          shrink(S.Source, S.O.V, Opts.Oracle, Opts.ShrinkOpts);
       // The shrinker guarantees (Source, Final) are consistent; prefer the
       // reduced program and its fresh oracle result.
       S.Source = std::move(SR.Source);
@@ -77,9 +76,9 @@ FuzzSummary fuzz::runCampaign(const FuzzOptions &Opts) {
       F.Detail = S.O.Detail;
       F.Source = std::move(S.Source);
       F.ShrinkSteps = S.ShrinkSteps;
-      F.MaxTs = Opts.Oracle.MaxTs;
-      F.MaxSwitches = Opts.Oracle.MaxSwitches;
-      F.BreakTransform = Opts.Oracle.InjectBreakAsserts;
+      F.MaxTs = Opts.Oracle.Kiss.MaxTs;
+      F.MaxSwitches = Opts.Oracle.Kiss.MaxSwitches;
+      F.BreakTransform = Opts.Oracle.Kiss.InjectBreakAsserts;
       Sum.Findings.push_back(std::move(F));
       break;
     }

@@ -23,7 +23,6 @@
 #include "fuzz/Generator.h"
 #include "fuzz/Oracle.h"
 #include "fuzz/Shrinker.h"
-#include "seqcheck/CommonOptions.h"
 
 #include <vector>
 
@@ -39,20 +38,21 @@ struct FuzzOptions {
   uint64_t Seed = 1;
   /// Number of cases.
   uint64_t Cases = 100;
-  /// Shared budget / recorder / jobs configuration: Common.Jobs workers
-  /// fan the cases out (parallelFor semantics; 0 = all cores),
-  /// Common.Budget is copied into the per-case oracle budget, and
-  /// Common.Recorder (if set) receives the campaign's verdict histogram,
-  /// discard rate, shrink totals, and one check record per violation (all
-  /// appended post-join, in case order — reports are byte-identical
-  /// across job counts under ZeroTimings).
-  rt::CommonOptions Common;
+  /// Worker threads fanning the cases out (parallelFor semantics; 0 = all
+  /// cores).
+  unsigned Jobs = 1;
+  /// If set, receives the campaign's verdict histogram, discard rate,
+  /// shrink totals, and one check record per violation (all appended
+  /// post-join, in case order — reports are byte-identical across job
+  /// counts under ZeroTimings). Not owned.
+  telemetry::RunRecorder *Recorder = nullptr;
   /// Grammar caps; each case draws its variation within these via
   /// varyOptions. With VaryGrammar off every case uses Grammar verbatim.
   GenOptions Grammar;
   bool VaryGrammar = true;
-  /// Per-case oracle configuration (MAX, K, state budget, injection).
-  /// Oracle.Budget is overwritten from Common.Budget.
+  /// Per-case oracle configuration (MAX, K, budgets, injection). Its
+  /// Kiss.Common.Budget bounds every engine run of every case, and its
+  /// cancellation token, if set, drains the campaign.
   OracleOptions Oracle;
   /// Shrink violations before reporting them.
   bool Shrink = true;
@@ -99,8 +99,7 @@ struct FuzzSummary {
   }
 };
 
-/// Runs the campaign. Budget, recorder, and worker count all come from
-/// Opts.Common (see FuzzOptions).
+/// Runs the campaign (see FuzzOptions).
 FuzzSummary runCampaign(const FuzzOptions &Opts);
 
 } // namespace kiss::fuzz

@@ -8,6 +8,7 @@
 
 #include "conc/ConcChecker.h"
 #include "kiss/Kiss.h"
+#include "lower/Pipeline.h"
 
 using namespace kiss;
 using namespace kiss::fuzz;
@@ -124,13 +125,7 @@ OracleResult fuzz::runOracle(const std::string &Source,
                              const OracleOptions &Opts) {
   OracleResult Res;
 
-  CheckConfig Cfg;
-  Cfg.MaxTs = Opts.MaxTs;
-  Cfg.MaxSwitches = Opts.MaxSwitches;
-  Cfg.MaxStates = Opts.MaxStates;
-  Cfg.Common.Budget = Opts.Budget;
-  Cfg.InjectBreakAsserts = Opts.InjectBreakAsserts;
-  Session S(Cfg);
+  Session S(Opts.Kiss);
   auto P = S.compile("fuzz.kiss", Source);
   if (!P) {
     Res.V = OracleVerdict::Discard;
@@ -145,9 +140,7 @@ OracleResult fuzz::runOracle(const std::string &Source,
 
   // Ground truth: unbounded interleaving exploration, deliberately
   // outside the Session pipeline — it is the independent oracle.
-  conc::ConcOptions CO;
-  CO.MaxStates = Opts.MaxStates;
-  CO.Budget = Opts.Budget;
+  conc::ConcOptions CO{core::exploreOptions(Opts.Kiss)};
   rt::CheckResult Truth = conc::checkProgram(*P, CFG, CO);
   Res.Conc = Truth.Outcome;
 
@@ -163,18 +156,19 @@ OracleResult fuzz::runOracle(const std::string &Source,
   }
 
   if (Opts.ExecDiff) {
-    // Differential engine mode: re-run the KISS side under the reference
-    // interpreter + delta store, and the ground truth under the delta
-    // store. Both engines implement the same transition relation over the
-    // same canonical encoding, so everything observable must match; a
-    // deadline/memory/cancel trip on either side is timing noise and
-    // skips the comparison (a States trip is deterministic and compares).
+    // Differential engine mode: re-run the KISS side under the other
+    // execution engine and store mode, and the ground truth under the
+    // other store mode. Both engines implement the same transition
+    // relation over the same canonical encoding, so everything observable
+    // must match; a deadline/memory/cancel trip on either side is timing
+    // noise and skips the comparison (a States trip is deterministic and
+    // compares).
     auto Noisy = [](const rt::CheckResult &R) {
       return R.Bound == gov::BoundReason::Deadline ||
              R.Bound == gov::BoundReason::Memory ||
              R.Bound == gov::BoundReason::Cancelled;
     };
-    auto Compare = [&](const char *Side, const rt::CheckResult &A,
+    auto Compare = [&](const std::string &Side, const rt::CheckResult &A,
                        const rt::CheckResult &B) {
       if (Noisy(A) || Noisy(B))
         return;
@@ -197,22 +191,31 @@ OracleResult fuzz::runOracle(const std::string &Source,
       if (What.empty())
         return;
       Res.V = OracleVerdict::ExecDivergence;
-      Res.Detail = std::string(Side) + " disagree: " + What;
+      Res.Detail = Side + " disagree: " + What;
     };
 
-    S.config().Exec = rt::ExecEngine::Interp;
-    S.config().Store = rt::StoreMode::Delta;
-    core::KissReport K2 = S.check(*P);
-    S.config().Exec = rt::ExecEngine::Threaded;
-    S.config().Store = rt::StoreMode::Flat;
-    Compare("seq engines (threaded/flat vs interp/delta)", K.Sequential,
-            K2.Sequential);
+    CheckConfig Flip = Opts.Kiss;
+    Flip.Exec = Flip.Exec == rt::ExecEngine::Threaded
+                    ? rt::ExecEngine::Interp
+                    : rt::ExecEngine::Threaded;
+    Flip.Store = Flip.Store == rt::StoreMode::Flat ? rt::StoreMode::Delta
+                                                   : rt::StoreMode::Flat;
+    core::KissReport K2 =
+        core::check(*P, Flip, S.context().Diags, &S.context().SM);
+    auto Name = [](const CheckConfig &C) {
+      return std::string(rt::getExecEngineName(C.Exec)) + "/" +
+             rt::getStoreModeName(C.Store);
+    };
+    Compare("seq engines (" + Name(Opts.Kiss) + " vs " + Name(Flip) + ")",
+            K.Sequential, K2.Sequential);
 
     if (Res.V != OracleVerdict::ExecDivergence) {
-      conc::ConcOptions CD = CO;
-      CD.Store = rt::StoreMode::Delta;
+      conc::ConcOptions CD{core::exploreOptions(Flip)};
       rt::CheckResult Truth2 = conc::checkProgram(*P, CFG, CD);
-      Compare("conc stores (flat vs delta)", Truth, Truth2);
+      Compare(std::string("conc stores (") +
+                  rt::getStoreModeName(Opts.Kiss.Store) + " vs " +
+                  rt::getStoreModeName(Flip.Store) + ")",
+              Truth, Truth2);
     }
     if (Res.V == OracleVerdict::ExecDivergence)
       return Res;
@@ -225,9 +228,10 @@ OracleResult fuzz::runOracle(const std::string &Source,
     // exploration counts are incomparable (path edges vs states), so a
     // budget trip on either side makes the pair inconclusive rather than
     // a divergence.
-    S.config().Engine = rt::Engine::Bebop;
-    core::KissReport KB = S.check(*P);
-    S.config().Engine = rt::Engine::Seq;
+    CheckConfig BebopCfg = Opts.Kiss;
+    BebopCfg.Engine = rt::Engine::Bebop;
+    core::KissReport KB =
+        core::check(*P, BebopCfg, S.context().Diags, &S.context().SM);
     if (S.hasErrors()) {
       // Bebop rejected the program: the boolean-fragment generator's
       // contract says that should not happen.
@@ -340,11 +344,11 @@ OracleResult fuzz::runOracle(const std::string &Source,
   // At K > 2 the bound rises to 2*((K-1)/2)+2 switches — but only when
   // every async site actually became resumable; ineligible or indirect
   // sites fall back to run-to-completion, i.e. the two-switch guarantee.
-  if (Opts.CheckCompleteness && Res.TwoThread && Opts.MaxTs >= 2) {
+  if (Opts.CheckCompleteness && Res.TwoThread && Opts.Kiss.MaxTs >= 2) {
     uint32_t EffBound = 2;
-    if (Opts.MaxSwitches > 2 && K.Stats.IneligibleCandidates == 0 &&
+    if (Opts.Kiss.MaxSwitches > 2 && K.Stats.IneligibleCandidates == 0 &&
         K.Stats.IndirectAsyncSites == 0)
-      EffBound = 2 * ((Opts.MaxSwitches - 1) / 2) + 2;
+      EffBound = 2 * ((Opts.Kiss.MaxSwitches - 1) / 2) + 2;
     conc::ConcOptions Bounded = CO;
     Bounded.ContextSwitchBound = static_cast<int32_t>(EffBound);
     rt::CheckResult Within = conc::checkProgram(*P, CFG, Bounded);
@@ -360,8 +364,8 @@ OracleResult fuzz::runOracle(const std::string &Source,
                    std::to_string(EffBound) +
                    " context switches on a 2-thread program but KISS at "
                    "MAX=" +
-                   std::to_string(Opts.MaxTs) +
-                   " K=" + std::to_string(Opts.MaxSwitches) +
+                   std::to_string(Opts.Kiss.MaxTs) +
+                   " K=" + std::to_string(Opts.Kiss.MaxSwitches) +
                    " found nothing";
       return Res;
     }

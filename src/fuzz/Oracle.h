@@ -31,7 +31,7 @@
 #ifndef KISS_FUZZ_ORACLE_H
 #define KISS_FUZZ_ORACLE_H
 
-#include "kiss/KissChecker.h"
+#include "kiss/Kiss.h"
 
 #include <string>
 
@@ -58,29 +58,29 @@ bool parseOracleVerdict(std::string_view Name, OracleVerdict &Out);
 
 /// Budgets and knobs of one differential run.
 struct OracleOptions {
-  /// MAX for the KISS side. Theorem 1's completeness direction needs >= 2;
-  /// below that the completeness check is skipped.
-  unsigned MaxTs = 2;
-  /// Context-switch bound K for the KISS side (default 2 = Theorem 1).
-  /// K > 2 raises the completeness bound to 2*((K-1)/2)+2 switches on
-  /// 2-thread programs, provided every async site was made resumable
-  /// (TransformStats reports ineligible/indirect sites; any of those
-  /// falls back to the two-switch bound).
-  unsigned MaxSwitches = 2;
-  /// Per-engine state budget (each of the up-to-four explorations).
-  uint64_t MaxStates = 150'000;
-  /// Per-engine deadline/memory/cancellation budget.
-  gov::RunBudget Budget;
+  /// The KISS side's check: MAX (default 2; below 2 the completeness
+  /// check is skipped), the context-switch bound K, the test-only
+  /// InjectBreakAsserts sabotage (kissfuzz --break-transform), and the
+  /// per-engine state budget (default 150,000) and run budget, which every
+  /// ground-truth exploration of the run shares through
+  /// core::exploreOptions. K > 2 raises the completeness bound to
+  /// 2*((K-1)/2)+2 switches on 2-thread programs, provided every async
+  /// site was made resumable (TransformStats reports ineligible/indirect
+  /// sites; any of those falls back to the two-switch bound).
+  CheckConfig Kiss = [] {
+    CheckConfig Cfg;
+    Cfg.MaxTs = 2;
+    Cfg.MaxStates = 150'000;
+    return Cfg;
+  }();
   /// Check the bounded-completeness direction on 2-thread programs.
   bool CheckCompleteness = true;
-  /// Test-only: run the KISS side with the deliberately broken transform
-  /// (negated assertions) to prove the oracle catches unsoundness.
-  bool InjectBreakAsserts = false;
   /// Differential engine mode (kissfuzz --exec-diff): additionally run
-  /// the KISS side under the reference interpreter + delta store and the
-  /// ground truth under the delta store, comparing verdict, message,
-  /// error location, and state/transition counts against the default
-  /// threaded/flat runs. Any mismatch is an ExecDivergence violation.
+  /// the KISS side under the other execution engine and the other store
+  /// mode, and the ground truth under the other store mode, comparing
+  /// verdict, message, error location, and state/transition counts
+  /// against the configured runs. Any mismatch is an ExecDivergence
+  /// violation.
   bool ExecDiff = false;
   /// Differential check-backend mode (kissfuzz --engine-diff=bebop):
   /// additionally run the KISS side under the bebop summary engine and

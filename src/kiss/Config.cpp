@@ -10,6 +10,8 @@
 #include "support/Json.h"
 
 #include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -90,7 +92,8 @@ bool setBool(const std::string &V, bool &Target, std::string &Err) {
 bool setNonNegDouble(const std::string &V, double &Target, std::string &Err) {
   char *End = nullptr;
   double D = std::strtod(V.c_str(), &End);
-  if (V.empty() || End != V.c_str() + V.size() || D < 0) {
+  if (V.empty() || End != V.c_str() + V.size() || !std::isfinite(D) ||
+      D < 0) {
     Err = "needs a non-negative number of seconds";
     return false;
   }
@@ -144,6 +147,10 @@ const FieldSpec Table[] = {
        uint64_t MB = 0;
        if (!setU64(V, MB, E))
          return false;
+       if (MB > (UINT64_MAX >> 20)) {
+         E = "needs at most " + renderU64(UINT64_MAX >> 20) + " MiB";
+         return false;
+       }
        C.Common.Budget.MemoryBytes = MB * 1024 * 1024;
        return true;
      }},

@@ -96,7 +96,7 @@ struct CheckConfig {
   telemetry::Heartbeat *Progress = nullptr;
   /// If nonzero, sample the exploration time-series every this many
   /// interned states (kisscheck --sample-every; see
-  /// seqcheck::SeqOptions::SampleEvery).
+  /// rt::ExploreOptions::SampleEvery).
   uint64_t SampleEvery = 0;
   /// Collect the per-line hot-path profile (kisscheck --profile). The
   /// resolved rows land in CheckResult::Profile.

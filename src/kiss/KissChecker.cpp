@@ -6,6 +6,8 @@
 
 #include "kiss/KissChecker.h"
 
+#include "kiss/Kiss.h"
+
 #include "bebop/BebopChecker.h"
 #include "bebop/FromCore.h"
 #include "cfg/CFG.h"
@@ -55,13 +57,13 @@ telemetry::CheckRecord core::makeCheckRecord(const KissReport &R,
 
 namespace {
 
-/// Opens a phase span on the options' recorder, or a no-op span when
-/// telemetry is off.
-telemetry::RunRecorder::Span phase(const KissOptions &Opts,
+/// Opens a phase span on the configuration's recorder, or a no-op span
+/// when telemetry is off.
+telemetry::RunRecorder::Span phase(const CheckConfig &Cfg,
                                    std::string_view Name) {
-  if (!Opts.Common.Recorder)
+  if (!Cfg.Common.Recorder)
     return telemetry::RunRecorder::Span();
-  return Opts.Common.Recorder->beginPhase(Name);
+  return Cfg.Common.Recorder->beginPhase(Name);
 }
 
 /// Runs the boolean-program summary engine on the translated program and
@@ -69,20 +71,20 @@ telemetry::RunRecorder::Span phase(const KissOptions &Opts,
 /// consumer (trace mapping, telemetry, exit codes) sees one shape.
 /// \returns false when conversion fails (diagnostics explain why).
 bool runBebop(const Program &Transformed, const cfg::ProgramCFG &CFG,
-              const KissOptions &Opts, DiagnosticEngine &Diags,
+              const CheckConfig &Cfg, DiagnosticEngine &Diags,
               KissReport &R) {
-  auto ConvertSpan = phase(Opts, "convert");
+  auto ConvertSpan = phase(Cfg, "convert");
   std::optional<bebop::BoolProgram> BP =
       bebop::convertFromCore(Transformed, Diags);
   ConvertSpan.end();
   if (!BP)
     return false;
 
-  auto CheckSpan = phase(Opts, "check");
+  auto CheckSpan = phase(Cfg, "check");
   bebop::BebopOptions BO;
-  BO.MaxPathEdges = Opts.Seq.MaxStates;
-  BO.Budget = Opts.Common.Budget;
-  BO.SampleEvery = Opts.Seq.SampleEvery;
+  BO.MaxPathEdges = Cfg.MaxStates;
+  BO.Budget = Cfg.Common.Budget;
+  BO.SampleEvery = Cfg.SampleEvery;
   bebop::BebopResult BR = bebop::check(*BP, BO);
   CheckSpan.counter("path_edges", BR.PathEdges);
   CheckSpan.counter("summary_edges", BR.SummaryEdges);
@@ -138,15 +140,14 @@ bool runBebop(const Program &Transformed, const cfg::ProgramCFG &CFG,
 
 /// Runs the translated program through the selected check engine and
 /// classifies the outcome.
-KissReport runPipeline(const Program &P, std::unique_ptr<Program> Transformed,
-                       const KissOptions &Opts, TransformStats Stats,
-                       DiagnosticEngine &Diags) {
-  (void)P;
+KissReport runPipeline(std::unique_ptr<Program> Transformed,
+                       const CheckConfig &Cfg, const SourceManager *SM,
+                       TransformStats Stats, DiagnosticEngine &Diags) {
   KissReport R =
       Transformed ? KissReport() : stoppedReport(gov::BoundReason::Fault);
   R.Stats = Stats;
   R.EngineUsed =
-      Opts.Engine == rt::Engine::Bebop ? rt::Engine::Bebop : rt::Engine::Seq;
+      Cfg.Engine == rt::Engine::Bebop ? rt::Engine::Bebop : rt::Engine::Seq;
   if (!Transformed) {
     R.Message = "transformation failed";
     return R;
@@ -155,7 +156,7 @@ KissReport runPipeline(const Program &P, std::unique_ptr<Program> Transformed,
   // Auto: bebop exactly when the *transformed* program is in the boolean
   // fragment — probed without diagnostics, so falling back is silent
   // except for the recorded reason.
-  if (Opts.Engine == rt::Engine::Auto) {
+  if (Cfg.Engine == rt::Engine::Auto) {
     std::string Why;
     if (bebop::isBooleanFragment(*Transformed, &Why)) {
       R.EngineUsed = rt::Engine::Bebop;
@@ -163,22 +164,22 @@ KissReport runPipeline(const Program &P, std::unique_ptr<Program> Transformed,
       R.EngineUsed = rt::Engine::Seq;
       R.EngineFallbackReason = Why;
     }
-    if (Opts.Common.Recorder) {
-      Opts.Common.Recorder->setMeta("engine_selected",
-                                    rt::getEngineName(R.EngineUsed));
+    if (Cfg.Common.Recorder) {
+      Cfg.Common.Recorder->setMeta("engine_selected",
+                                   rt::getEngineName(R.EngineUsed));
       if (!R.EngineFallbackReason.empty())
-        Opts.Common.Recorder->setMeta("engine_fallback_reason",
-                                      R.EngineFallbackReason);
+        Cfg.Common.Recorder->setMeta("engine_fallback_reason",
+                                     R.EngineFallbackReason);
     }
   }
 
-  auto CfgSpan = phase(Opts, "cfg");
+  auto CfgSpan = phase(Cfg, "cfg");
   cfg::ProgramCFG CFG = cfg::ProgramCFG::build(*Transformed);
   CfgSpan.counter("cfg_nodes", CFG.getTotalNodes());
   CfgSpan.end();
 
   if (R.EngineUsed == rt::Engine::Bebop) {
-    if (!runBebop(*Transformed, CFG, Opts, Diags, R)) {
+    if (!runBebop(*Transformed, CFG, Cfg, Diags, R)) {
       R.Verdict = KissVerdict::BoundExceeded;
       R.Message = "program is outside the boolean fragment";
       R.Sequential.Outcome = rt::CheckOutcome::BoundExceeded;
@@ -188,9 +189,9 @@ KissReport runPipeline(const Program &P, std::unique_ptr<Program> Transformed,
       return R;
     }
   } else {
-    auto CheckSpan = phase(Opts, "check");
-    seqcheck::SeqOptions SO = Opts.Seq;
-    SO.Budget = Opts.Common.Budget;
+    auto CheckSpan = phase(Cfg, "check");
+    seqcheck::SeqOptions SO{exploreOptions(Cfg)};
+    SO.Exec = Cfg.Exec;
     R.Sequential = seqcheck::checkProgram(*Transformed, CFG, SO);
     CheckSpan.counter("states", R.Sequential.StatesExplored);
     CheckSpan.counter("transitions", R.Sequential.TransitionsExplored);
@@ -203,8 +204,8 @@ KissReport runPipeline(const Program &P, std::unique_ptr<Program> Transformed,
   // Resolve the raw per-node profile against the translated program's
   // CFG while it is still in scope. Instrumented statements carry the
   // original program's source locations, so rows point at real lines.
-  if (Opts.Seq.Profile && Opts.SM)
-    R.Profile = rt::resolveProfile(R.Sequential.Profile, CFG, Opts.SM);
+  if (Cfg.Profile && SM)
+    R.Profile = rt::resolveProfile(R.Sequential.Profile, CFG, SM);
 
   switch (R.Sequential.Outcome) {
   case rt::CheckOutcome::Safe:
@@ -244,42 +245,35 @@ KissReport runPipeline(const Program &P, std::unique_ptr<Program> Transformed,
 
 } // namespace
 
-/// Adds the instrumentation counters to an open "transform" span.
-static void recordTransformStats(telemetry::RunRecorder::Span &Span,
-                                 const TransformStats &Stats) {
-  Span.counter("probes_emitted", Stats.ProbesEmitted);
-  Span.counter("probes_pruned", Stats.ProbesPruned);
-  Span.counter("statements_instrumented", Stats.StatementsInstrumented);
+rt::ExploreOptions core::exploreOptions(const CheckConfig &Cfg) {
+  rt::ExploreOptions O;
+  O.MaxStates = Cfg.MaxStates;
+  O.Budget = Cfg.Common.Budget;
+  O.Progress = Cfg.Progress;
+  O.Store = Cfg.Store;
+  O.SampleEvery = Cfg.SampleEvery;
+  O.Profile = Cfg.Profile;
+  return O;
 }
 
-KissReport core::checkAssertions(const Program &P, const KissOptions &Opts,
-                                 DiagnosticEngine &Diags) {
+KissReport core::check(const Program &P, const CheckConfig &Cfg,
+                       DiagnosticEngine &Diags, const SourceManager *SM) {
   TransformOptions TO;
-  TO.MaxTs = Opts.MaxTs;
-  TO.MaxSwitches = Opts.MaxSwitches;
-  TO.UseAliasAnalysis = Opts.UseAliasAnalysis;
-  TO.Recorder = Opts.Common.Recorder;
-  TO.InjectBreakAsserts = Opts.InjectBreakAsserts;
+  TO.MaxTs = Cfg.MaxTs;
+  TO.MaxSwitches = Cfg.MaxSwitches;
+  TO.UseAliasAnalysis = Cfg.UseAliasAnalysis;
+  TO.Recorder = Cfg.Common.Recorder;
+  TO.InjectBreakAsserts = Cfg.InjectBreakAsserts;
   TransformStats Stats;
-  auto TransformSpan = phase(Opts, "transform");
-  auto Transformed = transformForAssertions(P, TO, Diags, &Stats);
-  recordTransformStats(TransformSpan, Stats);
+  auto TransformSpan = phase(Cfg, "transform");
+  auto Transformed =
+      Cfg.M == CheckConfig::Mode::Race
+          ? transformForRace(P, Cfg.Race, TO, Diags, &Stats)
+          : transformForAssertions(P, TO, Diags, &Stats);
+  TransformSpan.counter("probes_emitted", Stats.ProbesEmitted);
+  TransformSpan.counter("probes_pruned", Stats.ProbesPruned);
+  TransformSpan.counter("statements_instrumented",
+                        Stats.StatementsInstrumented);
   TransformSpan.end();
-  return runPipeline(P, std::move(Transformed), Opts, Stats, Diags);
-}
-
-KissReport core::checkRace(const Program &P, const RaceTarget &Target,
-                           const KissOptions &Opts, DiagnosticEngine &Diags) {
-  TransformOptions TO;
-  TO.MaxTs = Opts.MaxTs;
-  TO.MaxSwitches = Opts.MaxSwitches;
-  TO.UseAliasAnalysis = Opts.UseAliasAnalysis;
-  TO.Recorder = Opts.Common.Recorder;
-  TO.InjectBreakAsserts = Opts.InjectBreakAsserts;
-  TransformStats Stats;
-  auto TransformSpan = phase(Opts, "transform");
-  auto Transformed = transformForRace(P, Target, TO, Diags, &Stats);
-  recordTransformStats(TransformSpan, Stats);
-  TransformSpan.end();
-  return runPipeline(P, std::move(Transformed), Opts, Stats, Diags);
+  return runPipeline(std::move(Transformed), Cfg, SM, Stats, Diags);
 }

@@ -25,44 +25,15 @@
 
 #include <memory>
 
+namespace kiss {
+struct CheckConfig;
+} // namespace kiss
+
 namespace kiss::telemetry {
 struct CheckRecord;
 } // namespace kiss::telemetry
 
 namespace kiss::core {
-
-/// Options for one end-to-end check.
-struct KissOptions {
-  /// The paper's MAX — the ts multiset capacity (the coverage/cost knob).
-  unsigned MaxTs = 0;
-  /// The context-switch bound K (default 2 = the paper's Theorem 1).
-  /// K > 2 adds (K-1)/2 suspend/resume rounds to the translation; see
-  /// TransformOptions::MaxSwitches.
-  unsigned MaxSwitches = 2;
-  /// Prune race probes with the points-to analysis.
-  bool UseAliasAnalysis = true;
-  /// Which check backend runs the translated sequential program: the
-  /// explicit-state engine (Seq, the default), the summary-based
-  /// boolean-program engine (Bebop, boolean-fragment inputs only), or
-  /// Auto — bebop when the *transformed* program is in the fragment,
-  /// seq otherwise (with the reason recorded in the report).
-  rt::Engine Engine = rt::Engine::Seq;
-  /// Budgets of the underlying sequential model checker. Seq.Budget is
-  /// overwritten from Common.Budget — set the budget there.
-  seqcheck::SeqOptions Seq;
-  /// Shared budget / recorder / jobs configuration. The recorder (if any)
-  /// receives transform / alias / cfg / check phase spans and their
-  /// counters (see docs/observability.md).
-  rt::CommonOptions Common;
-  /// Test-only: run the deliberately broken transform (negated assertion
-  /// clones) so the fuzzing oracle's unsoundness detection can be
-  /// validated end to end (kissfuzz --break-transform).
-  bool InjectBreakAsserts = false;
-  /// Source manager of the input program, used to resolve the hot-path
-  /// profile (Seq.Profile) to file:line rows. Not owned; null leaves the
-  /// profile unresolved (KissReport::Profile stays empty).
-  const SourceManager *SM = nullptr;
-};
 
 /// What the checker concluded.
 enum class KissVerdict : uint8_t {
@@ -86,9 +57,9 @@ struct KissReport {
   /// Instrumentation statistics (probe counts, ...).
   TransformStats Stats;
   /// Source-resolved hot-path profile of the sequential exploration
-  /// (empty unless KissOptions::Seq.Profile and KissOptions::SM were
-  /// set). Lines refer to the *translated* program's statements, which
-  /// carry the original program's source locations.
+  /// (empty unless CheckConfig::Profile was set and check() was given a
+  /// source manager). Lines refer to the *translated* program's
+  /// statements, which carry the original program's source locations.
   std::vector<rt::LineProfile> Profile;
   /// The translated sequential program (for inspection/printing).
   std::unique_ptr<lang::Program> Transformed;
@@ -123,14 +94,22 @@ KissReport stoppedReport(gov::BoundReason Why);
 telemetry::CheckRecord makeCheckRecord(const KissReport &R, std::string Name,
                                        double WallMs);
 
-/// Checks the assertions of concurrent core program \p P (Figure 4 mode).
-KissReport checkAssertions(const lang::Program &P, const KissOptions &Opts,
-                           DiagnosticEngine &Diags);
+/// The exploration-shell knobs of \p Cfg: state budget, run budget,
+/// heartbeat, store, series stride and profile. The one mapping from a
+/// check configuration to the options every explicit-state engine runs
+/// under: the sequential checker behind check(), and the conc ground truth
+/// of kisscheck --engine=conc and the fuzzing oracle.
+rt::ExploreOptions exploreOptions(const CheckConfig &Cfg);
 
-/// Checks for races on \p Target in concurrent core program \p P (Figure 5
-/// mode). Program assertions are checked along the way.
-KissReport checkRace(const lang::Program &P, const RaceTarget &Target,
-                     const KissOptions &Opts, DiagnosticEngine &Diags);
+/// Runs the check \p Cfg describes on concurrent core program \p P: the
+/// Figure-4 assertion translation or, in Mode::Race, the Figure-5 race
+/// translation for Cfg.Race (program assertions are checked along the
+/// way), then the check engine Cfg.Engine selects. \p SM, if set,
+/// resolves the hot-path profile (Cfg.Profile) to file:line rows; null
+/// leaves KissReport::Profile empty. Not owned.
+KissReport check(const lang::Program &P, const CheckConfig &Cfg,
+                 DiagnosticEngine &Diags,
+                 const SourceManager *SM = nullptr);
 
 } // namespace kiss::core
 

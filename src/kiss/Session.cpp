@@ -26,23 +26,7 @@ std::unique_ptr<lang::Program> Session::compile(std::string Name,
 }
 
 CheckResult Session::check(const lang::Program &P) {
-  KissOptions KO;
-  KO.MaxTs = Cfg.MaxTs;
-  KO.MaxSwitches = Cfg.MaxSwitches;
-  KO.UseAliasAnalysis = Cfg.UseAliasAnalysis;
-  KO.Engine = Cfg.Engine;
-  KO.InjectBreakAsserts = Cfg.InjectBreakAsserts;
-  KO.Seq.MaxStates = Cfg.MaxStates;
-  KO.Seq.Progress = Cfg.Progress;
-  KO.Seq.Exec = Cfg.Exec;
-  KO.Seq.Store = Cfg.Store;
-  KO.Seq.SampleEvery = Cfg.SampleEvery;
-  KO.Seq.Profile = Cfg.Profile;
-  KO.SM = &Ctx->SM;
-  KO.Common = Cfg.Common;
-  if (Cfg.M == CheckConfig::Mode::Race)
-    return checkRace(P, Cfg.Race, KO, Ctx->Diags);
-  return checkAssertions(P, KO, Ctx->Diags);
+  return core::check(P, Cfg, Ctx->Diags, &Ctx->SM);
 }
 
 bool Session::resolveRaceTarget(const std::string &Spec,

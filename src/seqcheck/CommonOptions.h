@@ -6,12 +6,11 @@
 ///
 /// \file
 /// The budget/recorder/jobs triple every multi-check entry point needs,
-/// factored into one struct so the KISS checker, the corpus runner, and
-/// the fuzzing campaign agree on what "common run configuration" means.
-/// Embedding structs treat these fields as the source of truth: nested
-/// engine options (e.g. SeqOptions::Budget) are overwritten from here at
-/// the entry point. ExploreOptions holds the knobs of the exploration
-/// shell that every explicit-state engine's options extend.
+/// factored into one struct so the KISS checker and the corpus runner
+/// agree on what "common run configuration" means. ExploreOptions holds
+/// the knobs of the exploration shell that every explicit-state engine's
+/// options extend; core::exploreOptions derives them, budget included,
+/// from a CheckConfig.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -141,19 +140,17 @@ struct ExploreOptions {
 };
 
 /// Run configuration shared by every entry point that can fan out over
-/// multiple checks: KissOptions, CorpusRunOptions, and FuzzOptions embed
-/// one of these.
+/// multiple checks: CheckConfig and CorpusRunOptions embed one of these.
 struct CommonOptions {
   /// Per-check deadline / memory / cancellation budget. A default budget
-  /// never trips. Entry points copy this into the nested engine options
-  /// they construct, so it wins over any budget set there directly.
+  /// never trips.
   gov::RunBudget Budget;
   /// Telemetry sink for phase spans, counters, and check records. Not
   /// owned; null means telemetry is off.
   telemetry::RunRecorder *Recorder = nullptr;
   /// Worker threads for entry points that fan out (race-all, per-field
-  /// corpus runs, fuzz campaigns); 0 = all hardware threads. Single-check
-  /// entry points ignore it.
+  /// corpus runs); 0 = all hardware threads. Single-check entry points
+  /// ignore it.
   unsigned Jobs = 1;
 };
 

@@ -6,6 +6,7 @@
 
 #include "support/Cli.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -86,7 +87,8 @@ void ArgParser::flagPositive(const char *Name, double &Target,
   add(Name, Arg, Help, [Name, &Target](const std::string &V, std::string &E) {
     char *End = nullptr;
     double D = V.empty() ? 0 : std::strtod(V.c_str(), &End);
-    if (V.empty() || End == V.c_str() || *End != '\0' || D <= 0) {
+    if (V.empty() || End == V.c_str() || *End != '\0' || !std::isfinite(D) ||
+        D <= 0) {
       E = std::string("--") + Name + " needs a positive number";
       return false;
     }

@@ -60,7 +60,7 @@ public:
             const char *Help);
   void flag(const char *Name, std::string &Target, const char *Arg,
             const char *Help);
-  /// Doubles must parse and be strictly positive.
+  /// Doubles must parse, be finite and be strictly positive.
   void flagPositive(const char *Name, double &Target, const char *Arg,
                     const char *Help);
   /// Unsigned variants that reject 0.

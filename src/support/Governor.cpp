@@ -41,13 +41,8 @@ bool gov::parseBoundReason(std::string_view Name, BoundReason &Out) {
   return false;
 }
 
-Governor::Governor(const RunBudget &B) : Budget(B) {
-  if (Budget.DeadlineSec > 0) {
-    HasDeadline = true;
-    Deadline = std::chrono::steady_clock::now() +
-               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(Budget.DeadlineSec));
-  }
+Governor::Governor(const RunBudget &B)
+    : Budget(B), Start(std::chrono::steady_clock::now()) {
   // Injected trips must land on an exact tick, so the stride drops to one
   // while injection is armed (tests only; never on production budgets).
   if (Budget.TripAtTick != 0 || Budget.CancelAtTick != 0)
@@ -82,7 +77,12 @@ bool Governor::slowCheck(uint64_t MemoryBytes) {
     return true;
   }
 
-  if (HasDeadline && std::chrono::steady_clock::now() >= Deadline) {
+  // Elapsed time is compared in double seconds, never converted to clock
+  // ticks, so a deadline past what steady_clock can represent (or an
+  // infinite one) simply never trips.
+  if (Budget.DeadlineSec > 0 &&
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
+              .count() >= Budget.DeadlineSec) {
     char Buf[64];
     std::snprintf(Buf, sizeof(Buf), "deadline of %gs exceeded",
                   Budget.DeadlineSec);

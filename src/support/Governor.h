@@ -128,8 +128,8 @@ private:
   static constexpr uint32_t Stride = 4096;
 
   RunBudget Budget;
-  std::chrono::steady_clock::time_point Deadline{};
-  bool HasDeadline = false;
+  /// When the deadline clock started (construction).
+  std::chrono::steady_clock::time_point Start{};
   uint64_t Ticks = 0;
   uint32_t TicksUntilCheck = Stride; ///< 1 while injection is armed.
   uint32_t CheckStride = Stride;

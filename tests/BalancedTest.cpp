@@ -8,7 +8,7 @@
 #include "TestUtil.h"
 
 #include "kiss/Balanced.h"
-#include "kiss/KissChecker.h"
+#include "kiss/Kiss.h"
 
 using namespace kiss;
 using namespace kiss::core;
@@ -69,10 +69,10 @@ TEST_P(BalancedTraceTest, KissCounterexamplesAreBalanced) {
   ASSERT_TRUE(C) << Source;
 
   for (unsigned MaxTs : {0u, 1u, 2u}) {
-    KissOptions Opts;
+    CheckConfig Opts;
     Opts.MaxTs = MaxTs;
-    Opts.Seq.MaxStates = 500'000;
-    KissReport R = checkAssertions(*C.Program, Opts, C.Ctx->Diags);
+    Opts.MaxStates = 500'000;
+    KissReport R = core::check(*C.Program, Opts, C.Ctx->Diags);
     if (!R.foundError())
       continue;
     EXPECT_TRUE(isBalancedSchedule(scheduleOf(R.Trace)))
@@ -121,9 +121,9 @@ TEST(BalancedTraceTest, BluetoothCounterexampleIsBalanced) {
     }
   )");
   ASSERT_TRUE(C);
-  KissOptions Opts;
+  CheckConfig Opts;
   Opts.MaxTs = 1;
-  KissReport R = checkAssertions(*C.Program, Opts, C.Ctx->Diags);
+  KissReport R = core::check(*C.Program, Opts, C.Ctx->Diags);
   ASSERT_TRUE(R.foundError());
   EXPECT_TRUE(isBalancedSchedule(scheduleOf(R.Trace)));
 }

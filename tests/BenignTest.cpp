@@ -14,7 +14,7 @@
 
 #include "TestUtil.h"
 
-#include "kiss/KissChecker.h"
+#include "kiss/Kiss.h"
 #include "lang/ASTPrinter.h"
 
 using namespace kiss;
@@ -24,10 +24,12 @@ using namespace kiss::test;
 namespace {
 
 KissReport raceOnGlobal(const Compiled &C, const char *Name) {
-  KissOptions Opts;
+  CheckConfig Opts;
   Opts.MaxTs = 0;
   RaceTarget T = RaceTarget::global(C.Ctx->Syms.intern(Name));
-  return checkRace(*C.Program, T, Opts, C.Ctx->Diags);
+  Opts.M = CheckConfig::Mode::Race;
+  Opts.Race = T;
+  return core::check(*C.Program, Opts, C.Ctx->Diags);
 }
 
 TEST(BenignTest, AnnotationParsesAndSetsTheFlag) {
@@ -133,11 +135,13 @@ TEST(BenignTest, FakemodemOpenCountScenario) {
     }
   )");
   ASSERT_TRUE(C);
-  KissOptions Opts;
+  CheckConfig Opts;
   Opts.MaxTs = 0;
   RaceTarget T = RaceTarget::field(C.Ctx->Syms.intern("FDO_DATA"),
                                    C.Ctx->Syms.intern("openCount"));
-  KissReport R = checkRace(*C.Program, T, Opts, C.Ctx->Diags);
+  Opts.M = CheckConfig::Mode::Race;
+  Opts.Race = T;
+  KissReport R = core::check(*C.Program, Opts, C.Ctx->Diags);
   EXPECT_EQ(R.Verdict, KissVerdict::NoErrorFound) << R.Message;
 }
 
@@ -149,8 +153,8 @@ TEST(BenignTest, AssertionsInsideBenignStillChecked) {
     }
   )");
   ASSERT_TRUE(C);
-  KissOptions Opts;
-  KissReport R = checkAssertions(*C.Program, Opts, C.Ctx->Diags);
+  CheckConfig Opts;
+  KissReport R = core::check(*C.Program, Opts, C.Ctx->Diags);
   EXPECT_EQ(R.Verdict, KissVerdict::AssertionViolation);
 }
 
@@ -170,10 +174,12 @@ TEST(BenignTest, PrintedAnnotationReparses) {
   auto P2 = lower::compileToCore(Ctx2, "rt", Printed);
   ASSERT_TRUE(P2) << Printed << Ctx2.renderDiagnostics();
   // The reparsed program still suppresses the race.
-  KissOptions Opts;
+  CheckConfig Opts;
   Opts.MaxTs = 0;
   RaceTarget T = RaceTarget::global(Ctx2.Syms.intern("g"));
-  KissReport R = checkRace(*P2, T, Opts, Ctx2.Diags);
+  Opts.M = CheckConfig::Mode::Race;
+  Opts.Race = T;
+  KissReport R = core::check(*P2, Opts, Ctx2.Diags);
   EXPECT_EQ(R.Verdict, KissVerdict::NoErrorFound);
 }
 

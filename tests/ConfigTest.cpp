@@ -14,6 +14,7 @@
 
 #include "kiss/Config.h"
 
+#include "support/Cli.h"
 #include "support/Json.h"
 
 #include "gtest/gtest.h"
@@ -113,6 +114,47 @@ TEST(Config, TypeMismatchRejectedWithPosition) {
             "integer");
   EXPECT_EQ(parseErr("{\"max_ts\": [1]}"),
             "cfg.json:1:12: config key 'max_ts' needs a scalar value");
+}
+
+TEST(Config, NonFiniteTimeoutRejected) {
+  // NaN and infinity, spelled out or overflowing, are not a number of
+  // seconds: accepting them would silently mean "no deadline".
+  const char *Want = "needs a non-negative number of seconds";
+  for (const char *V : {"nan", "inf", "-inf", "1e400"}) {
+    CheckConfig Cfg;
+    std::string Error;
+    EXPECT_FALSE(config::setField(Cfg, "timeout_sec", V, Error)) << V;
+    EXPECT_NE(Error.find(Want), std::string::npos) << V << ": " << Error;
+    EXPECT_EQ(Cfg.Common.Budget.DeadlineSec, 0) << V;
+  }
+  EXPECT_NE(parseErr("{\"timeout_sec\": 1e400}").find(Want),
+            std::string::npos);
+  EXPECT_NE(parseErr("{\"timeout_sec\": \"nan\"}").find(Want),
+            std::string::npos);
+  EXPECT_EQ(parsedOk("{\"timeout_sec\": 1e10}").Common.Budget.DeadlineSec,
+            1e10);
+}
+
+TEST(Config, MemoryBudgetThatWrapsRejected) {
+  // 2^44 + 1 MiB times 2^20 wraps to 1 MiB; the largest budget whose byte
+  // count fits 64 bits still parses.
+  const std::string Max = std::to_string(UINT64_MAX >> 20);
+  const std::string Over = "17592186044417";
+  EXPECT_NE(parseErr("{\"memory_budget_mb\": " + Over + "}")
+                .find("config key 'memory_budget_mb' needs at most " + Max),
+            std::string::npos);
+  EXPECT_EQ(parsedOk("{\"memory_budget_mb\": " + Max + "}")
+                .Common.Budget.MemoryBytes,
+            (UINT64_MAX >> 20) << 20);
+
+  CheckConfig Cfg;
+  cli::ArgParser P("usage: test");
+  config::addFlags(P, Cfg);
+  std::string Flag = "--memory-budget=" + Over;
+  char Arg0[] = "test";
+  char *Argv[] = {Arg0, Flag.data()};
+  EXPECT_FALSE(P.parse(2, Argv));
+  EXPECT_EQ(Cfg.Common.Budget.MemoryBytes, 0u);
 }
 
 TEST(Config, VersionChecked) {

@@ -64,7 +64,7 @@ TEST(DiffFuzzTest, GeneratedProgramsAlwaysCompile) {
 
 OracleResult runOn(const std::string &Source, bool BreakAsserts = false) {
   OracleOptions Opts;
-  Opts.InjectBreakAsserts = BreakAsserts;
+  Opts.Kiss.InjectBreakAsserts = BreakAsserts;
   return runOracle(Source, Opts);
 }
 
@@ -117,6 +117,31 @@ TEST(DiffFuzzTest, OracleCatchesInjectedUnsoundness) {
   )",
                          /*BreakAsserts=*/true);
   EXPECT_EQ(R.V, OracleVerdict::SoundnessBug);
+}
+
+TEST(DiffFuzzTest, ExecDiffComparesTheConfiguredRunWithItsFlip) {
+  // --exec-diff re-runs under the other exec engine and store mode, so it
+  // agrees from either corner: threaded/flat (the default) and
+  // interp/delta.
+  const char *Source = R"(
+    int g = 0;
+    void w() { g = 1; }
+    void main() {
+      async w();
+      assert(g == 0);
+    }
+  )";
+  for (bool Reference : {false, true}) {
+    OracleOptions OO;
+    OO.ExecDiff = true;
+    if (Reference) {
+      OO.Kiss.Exec = rt::ExecEngine::Interp;
+      OO.Kiss.Store = rt::StoreMode::Delta;
+    }
+    OracleResult R = runOracle(Source, OO);
+    EXPECT_EQ(R.V, OracleVerdict::Agree) << R.Detail;
+    EXPECT_EQ(R.Kiss, core::KissVerdict::AssertionViolation);
+  }
 }
 
 // Before the call write-back fix the transform committed the callee's dummy
@@ -197,9 +222,9 @@ TEST(DiffFuzzTest, CountContextSwitchesOnKnownTrace) {
     }
   )");
   ASSERT_TRUE(C);
-  core::KissOptions Opts;
+  CheckConfig Opts;
   Opts.MaxTs = 2;
-  core::KissReport R = core::checkAssertions(*C.Program, Opts, C.Ctx->Diags);
+  core::KissReport R = core::check(*C.Program, Opts, C.Ctx->Diags);
   ASSERT_EQ(R.Verdict, core::KissVerdict::AssertionViolation);
   // main arms, w fires, main asserts: two switches, two threads.
   EXPECT_EQ(R.Trace.NumThreads, 2u);
@@ -218,7 +243,7 @@ TEST(DiffFuzzTest, ShrinkerReducesWhilePreservingVerdict) {
   G.Helpers = 2;
   std::string Source = generateProgram(5, G);
   OracleOptions OO;
-  OO.InjectBreakAsserts = true;
+  OO.Kiss.InjectBreakAsserts = true;
   OracleResult Full = runOracle(Source, OO);
   ASSERT_EQ(Full.V, OracleVerdict::SoundnessBug) << Source;
 
@@ -284,9 +309,9 @@ TEST(DiffFuzzTest, CampaignIsInvariantAcrossJobs) {
   Opts.Seed = 11;
   Opts.Cases = 24;
   Opts.Shrink = false;
-  Opts.Common.Jobs = 1;
+  Opts.Jobs = 1;
   FuzzSummary A = runCampaign(Opts);
-  Opts.Common.Jobs = 4;
+  Opts.Jobs = 4;
   FuzzSummary B = runCampaign(Opts);
   EXPECT_EQ(A.CasesRun, B.CasesRun);
   for (int I = 0; I != 7; ++I)
@@ -307,7 +332,7 @@ TEST(DiffFuzzTest, CampaignSmokeAtKFour) {
   Opts.Seed = 7;
   Opts.Cases = 40;
   Opts.Shrink = false;
-  Opts.Oracle.MaxSwitches = 4;
+  Opts.Oracle.Kiss.MaxSwitches = 4;
   FuzzSummary Sum = runCampaign(Opts);
   EXPECT_EQ(Sum.CasesRun, 40u);
   EXPECT_EQ(Sum.violations(), 0u) << "K=4 oracle disagreement";
@@ -318,7 +343,7 @@ TEST(DiffFuzzTest, CampaignFindsAndShrinksInjectedBug) {
   Opts.Seed = 1;
   Opts.Cases = 3;
   Opts.VaryGrammar = false;
-  Opts.Oracle.InjectBreakAsserts = true;
+  Opts.Oracle.Kiss.InjectBreakAsserts = true;
   FuzzSummary Sum = runCampaign(Opts);
   EXPECT_GE(Sum.violations(), 1u);
   ASSERT_FALSE(Sum.Findings.empty());

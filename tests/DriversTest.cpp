@@ -10,7 +10,7 @@
 #include "drivers/Bluetooth.h"
 #include "drivers/Corpus.h"
 #include "drivers/ModelGen.h"
-#include "kiss/KissChecker.h"
+#include "kiss/Kiss.h"
 
 using namespace kiss;
 using namespace kiss::core;
@@ -28,15 +28,17 @@ KissVerdict checkField(const DriverSpec &D, unsigned FieldIdx,
   EXPECT_TRUE(C) << D.Name << " field " << FieldIdx;
   if (!C)
     return KissVerdict::BoundExceeded;
-  KissOptions Opts;
+  CheckConfig Opts;
   Opts.MaxTs = 0;
-  Opts.Seq.MaxStates = FieldStateBudget;
+  Opts.MaxStates = FieldStateBudget;
   if (MaxSwitches)
     Opts.MaxSwitches = MaxSwitches;
   RaceTarget T =
       RaceTarget::field(C.Ctx->Syms.intern(getDeviceExtensionName()),
                         C.Ctx->Syms.intern(D.Fields[FieldIdx].Name));
-  KissReport R = checkRace(*C.Program, T, Opts, C.Ctx->Diags);
+  Opts.M = CheckConfig::Mode::Race;
+  Opts.Race = T;
+  KissReport R = core::check(*C.Program, Opts, C.Ctx->Diags);
   return R.Verdict;
 }
 
@@ -287,17 +289,17 @@ TEST(BluetoothTest, BuggyModelFailsFixedModelPasses) {
   // KissTest); the fixed model is clean at MAX 0..2.
   auto Buggy = compile(getBluetoothSource());
   ASSERT_TRUE(Buggy);
-  KissOptions Opts;
+  CheckConfig Opts;
   Opts.MaxTs = 1;
-  EXPECT_EQ(checkAssertions(*Buggy.Program, Opts, Buggy.Ctx->Diags).Verdict,
+  EXPECT_EQ(core::check(*Buggy.Program, Opts, Buggy.Ctx->Diags).Verdict,
             KissVerdict::AssertionViolation);
 
   auto Fixed = compile(getFixedBluetoothSource());
   ASSERT_TRUE(Fixed);
   for (unsigned MaxTs : {0u, 1u, 2u}) {
-    KissOptions O;
+    CheckConfig O;
     O.MaxTs = MaxTs;
-    EXPECT_EQ(checkAssertions(*Fixed.Program, O, Fixed.Ctx->Diags).Verdict,
+    EXPECT_EQ(core::check(*Fixed.Program, O, Fixed.Ctx->Diags).Verdict,
               KissVerdict::NoErrorFound)
         << "MaxTs=" << MaxTs;
   }
@@ -318,9 +320,9 @@ TEST(BluetoothTest, FakemodemRefcountIsClean) {
   auto C = compile(getFakemodemRefcountSource());
   ASSERT_TRUE(C);
   for (unsigned MaxTs : {0u, 1u}) {
-    KissOptions O;
+    CheckConfig O;
     O.MaxTs = MaxTs;
-    EXPECT_EQ(checkAssertions(*C.Program, O, C.Ctx->Diags).Verdict,
+    EXPECT_EQ(core::check(*C.Program, O, C.Ctx->Diags).Verdict,
               KissVerdict::NoErrorFound)
         << "MaxTs=" << MaxTs;
   }

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 using namespace kiss::gov;
 
 namespace {
@@ -100,6 +102,20 @@ TEST(GovernorTest, DeadlineTrips) {
   EXPECT_TRUE(Tripped);
   EXPECT_EQ(G.reason(), BoundReason::Deadline);
   EXPECT_NE(G.message().find("deadline"), std::string::npos);
+}
+
+TEST(GovernorTest, UnrepresentableDeadlineNeverTrips) {
+  // 1e10 s (about 317 years) is past what steady_clock's 64-bit
+  // nanosecond count holds from now, and infinity is further still:
+  // neither deadline can expire.
+  for (double Sec : {1e10, HUGE_VAL}) {
+    RunBudget B;
+    B.DeadlineSec = Sec;
+    Governor G(B);
+    for (int I = 0; I < 20000; ++I)
+      ASSERT_FALSE(G.shouldStop(0)) << Sec << " tripped at tick " << I;
+    EXPECT_EQ(G.reason(), BoundReason::None);
+  }
 }
 
 TEST(GovernorTest, ReasonNamesRoundTrip) {

@@ -19,7 +19,7 @@
 #include "drivers/Bluetooth.h"
 #include "drivers/CorpusRunner.h"
 #include "drivers/ModelGen.h"
-#include "kiss/KissChecker.h"
+#include "kiss/Kiss.h"
 #include "lang/ASTPrinter.h"
 
 using namespace kiss;
@@ -33,13 +33,15 @@ KissVerdict raceOnFullDriver(const DriverSpec &D, const std::string &Field,
                              HarnessVersion V, uint64_t Budget = 400000) {
   auto C = compile(buildFullProgram(D, V));
   EXPECT_TRUE(C) << D.Name;
-  KissOptions Opts;
+  CheckConfig Opts;
   Opts.MaxTs = 0;
-  Opts.Seq.MaxStates = Budget;
+  Opts.MaxStates = Budget;
   RaceTarget T =
       RaceTarget::field(C.Ctx->Syms.intern(getDeviceExtensionName()),
                         C.Ctx->Syms.intern(Field));
-  return checkRace(*C.Program, T, Opts, C.Ctx->Diags).Verdict;
+  Opts.M = CheckConfig::Mode::Race;
+  Opts.Race = T;
+  return core::check(*C.Program, Opts, C.Ctx->Diags).Verdict;
 }
 
 TEST(IntegrationTest, FullToastmonModelFindsTheRaceWithoutSlicing) {
@@ -189,9 +191,9 @@ TEST(IntegrationTest, ConcAndKissAgreeOnWholeBluetoothFix) {
     ASSERT_TRUE(C);
     cfg::ProgramCFG CFG = cfg::ProgramCFG::build(*C.Program);
     rt::CheckResult Conc = conc::checkProgram(*C.Program, CFG);
-    KissOptions Opts;
+    CheckConfig Opts;
     Opts.MaxTs = 1;
-    KissReport Kiss = checkAssertions(*C.Program, Opts, C.Ctx->Diags);
+    KissReport Kiss = core::check(*C.Program, Opts, C.Ctx->Diags);
     EXPECT_EQ(Conc.foundError(), !Fixed);
     EXPECT_EQ(Kiss.foundError(), !Fixed);
   }

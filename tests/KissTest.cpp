@@ -7,7 +7,7 @@
 #include "TestUtil.h"
 
 #include "conc/ConcChecker.h"
-#include "kiss/KissChecker.h"
+#include "kiss/Kiss.h"
 #include "lang/ASTPrinter.h"
 
 #include <cstdint>
@@ -72,17 +72,19 @@ const char *BluetoothSource = R"(
 )";
 
 KissReport runAssertions(const Compiled &C, unsigned MaxTs) {
-  KissOptions Opts;
+  CheckConfig Opts;
   Opts.MaxTs = MaxTs;
-  return checkAssertions(*C.Program, Opts, C.Ctx->Diags);
+  return core::check(*C.Program, Opts, C.Ctx->Diags);
 }
 
 KissReport runRace(const Compiled &C, const RaceTarget &T, unsigned MaxTs,
                    bool UseAlias = true) {
-  KissOptions Opts;
+  CheckConfig Opts;
   Opts.MaxTs = MaxTs;
   Opts.UseAliasAnalysis = UseAlias;
-  return checkRace(*C.Program, T, Opts, C.Ctx->Diags);
+  Opts.M = CheckConfig::Mode::Race;
+  Opts.Race = T;
+  return core::check(*C.Program, Opts, C.Ctx->Diags);
 }
 
 RaceTarget fieldTarget(const Compiled &C, const char *Struct,
@@ -438,14 +440,14 @@ TEST(KissEndToEndTest, IncreasingMaxTsIncreasesCoverage) {
 }
 
 //===----------------------------------------------------------------------===//
-// The K-bound generalization (KissOptions::MaxSwitches)
+// The K-bound generalization (CheckConfig::MaxSwitches)
 //===----------------------------------------------------------------------===//
 
 KissReport runAssertionsAtK(const Compiled &C, unsigned MaxTs, unsigned K) {
-  KissOptions Opts;
+  CheckConfig Opts;
   Opts.MaxTs = MaxTs;
   Opts.MaxSwitches = K;
-  return checkAssertions(*C.Program, Opts, C.Ctx->Diags);
+  return core::check(*C.Program, Opts, C.Ctx->Diags);
 }
 
 /// Thread 1 must run, park across main's write, and resume: the shortest
@@ -512,12 +514,12 @@ TEST(KissKBoundTest, ExplicitKTwoIsByteIdenticalToDefault) {
 TEST(KissKBoundTest, ExplicitKTwoRaceVerdictUnchanged) {
   auto C = compile(BluetoothSource);
   ASSERT_TRUE(C);
-  KissOptions Opts;
+  CheckConfig Opts;
   Opts.MaxTs = 0;
   Opts.MaxSwitches = 2;
-  KissReport R =
-      checkRace(*C.Program, fieldTarget(C, "DEVICE_EXTENSION", "stoppingFlag"),
-                Opts, C.Ctx->Diags);
+  Opts.M = CheckConfig::Mode::Race;
+  Opts.Race = fieldTarget(C, "DEVICE_EXTENSION", "stoppingFlag");
+  KissReport R = core::check(*C.Program, Opts, C.Ctx->Diags);
   EXPECT_EQ(R.Verdict, KissVerdict::RaceDetected);
 }
 

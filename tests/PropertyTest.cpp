@@ -22,7 +22,7 @@
 #include "TestUtil.h"
 
 #include "conc/ConcChecker.h"
-#include "kiss/KissChecker.h"
+#include "kiss/Kiss.h"
 #include "lang/ASTPrinter.h"
 
 using namespace kiss;
@@ -52,9 +52,9 @@ TEST_P(SeedTest, KissNeverReportsFalseErrors) {
     GTEST_SKIP() << "ground truth too large";
 
   for (unsigned MaxTs : {0u, 1u, 2u}) {
-    KissOptions Opts;
+    CheckConfig Opts;
     Opts.MaxTs = MaxTs;
-    KissReport R = checkAssertions(*C.Program, Opts, C.Ctx->Diags);
+    KissReport R = core::check(*C.Program, Opts, C.Ctx->Diags);
     if (R.foundError()) {
       EXPECT_TRUE(Truth.foundError())
           << "false error at MaxTs=" << MaxTs << " for seed " << GetParam()
@@ -106,10 +106,10 @@ TEST_P(TwoSwitchCoverageTest, KissCoversTwoSwitchErrors) {
     GTEST_SKIP() << "no two-switch assertion failure in this program";
 
   // MAX = 2 suffices (one pending thread + the simulated main).
-  KissOptions Opts;
+  CheckConfig Opts;
   Opts.MaxTs = 2;
-  Opts.Seq.MaxStates = 2'000'000;
-  KissReport R = checkAssertions(*C.Program, Opts, C.Ctx->Diags);
+  Opts.MaxStates = 2'000'000;
+  KissReport R = core::check(*C.Program, Opts, C.Ctx->Diags);
   EXPECT_EQ(R.Verdict, KissVerdict::AssertionViolation)
       << "Theorem 1 violated for seed " << GetParam() << "\n"
       << Source;
@@ -134,10 +134,12 @@ TEST_P(RaceSoundnessTest, RaceVerdictsNeverCrashAndStayClassified) {
   for (unsigned G = 0; G != GO.NumIntGlobals; ++G) {
     RaceTarget T = RaceTarget::global(
         C.Ctx->Syms.intern("g" + std::to_string(G)));
-    KissOptions Opts;
+    CheckConfig Opts;
     Opts.MaxTs = 0;
-    Opts.Seq.MaxStates = 500'000;
-    KissReport R = checkRace(*C.Program, T, Opts, C.Ctx->Diags);
+    Opts.MaxStates = 500'000;
+    Opts.M = CheckConfig::Mode::Race;
+    Opts.Race = T;
+    KissReport R = core::check(*C.Program, Opts, C.Ctx->Diags);
     // Generated programs contain no user asserts here: any error must be
     // classified as a race, never as an assertion violation, and the
     // engine must not fault.

@@ -16,7 +16,7 @@
 
 #include "TestUtil.h"
 
-#include "kiss/KissChecker.h"
+#include "kiss/Kiss.h"
 #include "seqcheck/Runtime.h"
 #include "seqcheck/StateStore.h"
 #include "support/Hashing.h"
@@ -408,12 +408,12 @@ void expectGoldenCounts(unsigned MaxSwitches) {
   for (const GoldenCount &G : Goldens) {
     Compiled C = compile(readSample(G.File));
     ASSERT_TRUE(C);
-    core::KissOptions Opts;
+    CheckConfig Opts;
     Opts.MaxTs = G.MaxTs;
     if (MaxSwitches)
       Opts.MaxSwitches = MaxSwitches;
     core::KissReport R =
-        core::checkAssertions(*C.Program, Opts, C.Ctx->Diags);
+        core::check(*C.Program, Opts, C.Ctx->Diags);
     EXPECT_EQ(R.Verdict, core::KissVerdict::NoErrorFound)
         << G.File << " MAX=" << G.MaxTs;
     EXPECT_EQ(R.Sequential.StatesExplored, G.States)

@@ -14,7 +14,7 @@
 
 #include "TestUtil.h"
 
-#include "kiss/KissChecker.h"
+#include "kiss/Kiss.h"
 #include "telemetry/Telemetry.h"
 
 #include <gtest/gtest.h>
@@ -256,13 +256,12 @@ std::string checkedReport() {
   if (!P)
     return "";
 
-  KissOptions Opts;
+  CheckConfig Opts;
   Opts.MaxTs = 1;
   Opts.Common.Recorder = &Rec;
-  Opts.Seq.SampleEvery = 128;
-  Opts.Seq.Profile = true;
-  Opts.SM = &Ctx->SM;
-  KissReport R = checkAssertions(*P, Opts, Ctx->Diags);
+  Opts.SampleEvery = 128;
+  Opts.Profile = true;
+  KissReport R = core::check(*P, Opts, Ctx->Diags, &Ctx->SM);
   EXPECT_EQ(R.Verdict, KissVerdict::NoErrorFound);
 
   Rec.addCheck(makeCheckRecord(R, "golden.kiss", 0));

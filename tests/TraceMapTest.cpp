@@ -6,7 +6,7 @@
 
 #include "TestUtil.h"
 
-#include "kiss/KissChecker.h"
+#include "kiss/Kiss.h"
 
 using namespace kiss;
 using namespace kiss::core;
@@ -15,9 +15,9 @@ using namespace kiss::test;
 namespace {
 
 KissReport findError(const Compiled &C, unsigned MaxTs) {
-  KissOptions Opts;
+  CheckConfig Opts;
   Opts.MaxTs = MaxTs;
-  return checkAssertions(*C.Program, Opts, C.Ctx->Diags);
+  return core::check(*C.Program, Opts, C.Ctx->Diags);
 }
 
 TEST(TraceMapTest, SingleThreadTraceIsAllT0) {
@@ -127,10 +127,12 @@ TEST(TraceMapTest, RaceTraceEndsWithCheckEvent) {
     }
   )");
   ASSERT_TRUE(C);
-  KissOptions Opts;
+  CheckConfig Opts;
   Opts.MaxTs = 0;
   RaceTarget T = RaceTarget::global(C.Ctx->Syms.intern("shared"));
-  KissReport R = checkRace(*C.Program, T, Opts, C.Ctx->Diags);
+  Opts.M = CheckConfig::Mode::Race;
+  Opts.Race = T;
+  KissReport R = core::check(*C.Program, Opts, C.Ctx->Diags);
   ASSERT_EQ(R.Verdict, KissVerdict::RaceDetected);
   ASSERT_FALSE(R.Trace.Steps.empty());
   // The trace contains two access events on different threads.

@@ -20,6 +20,9 @@ import tempfile
 # kisscheck's contract for that verdict; the golden only pins the records.
 CASES = [
     ("assert", ["--max-ts=1", "bank.kiss"]),
+    # The delta store moves only arena_bytes: these two pin that --store
+    # reaches both the sequential and the conc exploration.
+    ("assert_delta", ["--store=delta", "--max-ts=1", "bank.kiss"]),
     ("assert_interp_sampled",
      ["--exec=interp", "--max-ts=1", "--sample-every=64", "--profile",
       "bank.kiss"]),
@@ -28,6 +31,7 @@ CASES = [
     ("bebop", ["--engine=bebop", "handshake.kiss"]),
     ("conc", ["--engine=conc", "--sample-every=16", "--profile",
               "pingpong.kiss"]),
+    ("conc_delta", ["--engine=conc", "--store=delta", "pingpong.kiss"]),
     ("max_states", ["--max-ts=1", "--max-states=100", "bank_fixed.kiss"]),
 ]
 

@@ -84,25 +84,7 @@ struct CliOptions {
   unsigned ProfileTopN = 10;   ///< --profile=N table depth.
   bool ZeroTimings = false;
   double ProgressSec = 0;  ///< --progress interval; 0 = no heartbeats.
-  /// --inject-trip=N:REASON — deterministic budget trip (tests).
-  uint64_t InjectTripTick = 0;
-  gov::BoundReason InjectTripReason = gov::BoundReason::Deadline;
-  /// --inject-cancel-at=N — simulated SIGINT at governor tick N (tests).
-  uint64_t InjectCancelTick = 0;
 };
-
-/// The per-check resource budget: the config table already filled in the
-/// deadline and memory knobs; this adds the process-level cancellation
-/// (every check of the run shares GlobalCancel, so one SIGINT drains them
-/// all) and the deterministic test-trip hooks.
-gov::RunBudget makeBudget(const CliOptions &Opts) {
-  gov::RunBudget B = Opts.Cfg.Common.Budget;
-  B.Cancel = &GlobalCancel;
-  B.TripAtTick = Opts.InjectTripTick;
-  B.TripReason = Opts.InjectTripReason;
-  B.CancelAtTick = Opts.InjectCancelTick;
-  return B;
-}
 
 /// The flag table. Shared spellings (--jobs, --timeout, --memory-budget,
 /// --report, --zero-timings, --max-switches, --progress) match kissfuzz.
@@ -218,17 +200,18 @@ cli::ArgParser makeParser(CliOptions &Opts) {
                E = "--inject-trip needs <tick>:<reason>";
                return false;
              }
-             Opts.InjectTripTick = std::strtoull(V.c_str(), nullptr, 10);
-             if (Opts.InjectTripTick == 0 ||
-                 !gov::parseBoundReason(V.substr(Colon + 1),
-                                        Opts.InjectTripReason)) {
+             gov::RunBudget &B = Opts.Cfg.Common.Budget;
+             B.TripAtTick = std::strtoull(V.c_str(), nullptr, 10);
+             if (B.TripAtTick == 0 ||
+                 !gov::parseBoundReason(V.substr(Colon + 1), B.TripReason)) {
                E = "--inject-trip needs a positive tick and a reason "
                    "(deadline|memory|states|cancelled)";
                return false;
              }
              return true;
            });
-  P.flagPositive("inject-cancel-at", Opts.InjectCancelTick, "<n>",
+  P.flagPositive("inject-cancel-at", Opts.Cfg.Common.Budget.CancelAtTick,
+                 "<n>",
                  "(testing) simulate SIGINT at governor tick <n>:\n"
                  "cancel, drain, flush a partial report with\n"
                  "interrupted: true, exit 3");
@@ -239,12 +222,11 @@ cli::ArgParser makeParser(CliOptions &Opts) {
 }
 
 /// The shared Session configuration for this invocation's checks: the
-/// table-parsed knobs plus the per-process wiring (cancellation, test
-/// trips, recorder, heartbeat) that never comes from a config file.
+/// parsed knobs (the config table, the test trips, the process-wide
+/// cancellation) plus the recorder and heartbeat.
 CheckConfig makeConfig(const CliOptions &Opts, telemetry::RunRecorder *Rec,
                        telemetry::Heartbeat *Beat) {
   CheckConfig Cfg = Opts.Cfg;
-  Cfg.Common.Budget = makeBudget(Opts);
   Cfg.Common.Recorder = Rec;
   Cfg.Progress = Beat;
   return Cfg;
@@ -360,6 +342,7 @@ int runRaceAll(Session &S, const lang::Program &P, const CliOptions &Opts,
   });
 
   unsigned Races = 0, Clean = 0, Other = 0;
+  bool FoundError = false, Bounded = false;
   std::printf("%-40s %-20s %10s\n", "location", "verdict", "states");
   for (size_t I = 0; I != Locations.size(); ++I) {
     const telemetry::CheckRecord &C = Records[I];
@@ -374,6 +357,9 @@ int runRaceAll(Session &S, const lang::Program &P, const CliOptions &Opts,
       ++Clean;
     else
       ++Other;
+    FoundError |= Verdicts[I] != KissVerdict::NoErrorFound &&
+                  Verdicts[I] != KissVerdict::BoundExceeded;
+    Bounded |= Verdicts[I] == KissVerdict::BoundExceeded;
     Rec.addCheck(C);
   }
   Rec.addCounter("locations_checked", Locations.size());
@@ -393,26 +379,23 @@ int runRaceAll(Session &S, const lang::Program &P, const CliOptions &Opts,
   }
   if (!maybeWriteReport(Opts, Rec))
     return cli::ExitUsage;
-  return cli::exitCode(/*FoundError=*/Races != 0, /*Bound=*/false);
+  // An error at any location outranks locations left inconclusive: the
+  // error is real whatever the other locations would have shown.
+  if (FoundError)
+    return cli::ExitErrorFound;
+  return cli::exitCode(/*FoundError=*/false, Bounded);
 }
 
 /// --engine=conc: the ground-truth interleaving exploration. This is the
 /// oracle side of Theorem 1, deliberately outside the Session pipeline.
-int runConcEngine(const lang::Program &P, const CliOptions &Opts,
-                  const lower::CompilerContext &Ctx,
-                  telemetry::RunRecorder &Rec, const std::string &Name,
-                  telemetry::Heartbeat *Beat) {
+int runConcEngine(const lang::Program &P, const CheckConfig &Cfg,
+                  const CliOptions &Opts, const lower::CompilerContext &Ctx,
+                  telemetry::RunRecorder &Rec, const std::string &Name) {
   auto CfgSpan = Rec.beginPhase("cfg");
   cfg::ProgramCFG CFG = cfg::ProgramCFG::build(P);
   CfgSpan.end();
 
-  conc::ConcOptions CO;
-  CO.MaxStates = Opts.Cfg.MaxStates;
-  CO.Store = Opts.Cfg.Store;
-  CO.Budget = makeBudget(Opts);
-  CO.Progress = Beat;
-  CO.SampleEvery = Opts.Cfg.SampleEvery;
-  CO.Profile = Opts.Cfg.Profile;
+  conc::ConcOptions CO{core::exploreOptions(Cfg)};
   auto Start = std::chrono::steady_clock::now();
   auto CheckSpan = Rec.beginPhase("check");
   rt::CheckResult R = conc::checkProgram(P, CFG, CO);
@@ -420,7 +403,7 @@ int runConcEngine(const lang::Program &P, const CliOptions &Opts,
   CheckSpan.counter("transitions", R.TransitionsExplored);
   CheckSpan.end();
   std::vector<rt::LineProfile> Prof;
-  if (Opts.Cfg.Profile)
+  if (Cfg.Profile)
     Prof = rt::resolveProfile(R.Profile, CFG, &Ctx.SM);
   Rec.addCheck(rt::makeCheckRecord(R, Name, msSince(Start), Prof));
 
@@ -437,7 +420,7 @@ int runConcEngine(const lang::Program &P, const CliOptions &Opts,
                 rt::formatTrace(R.Trace, P, CFG, &Ctx.SM).c_str());
   if (Opts.ShowStats)
     printExplorationStats(R);
-  if (Opts.Cfg.Profile)
+  if (Cfg.Profile)
     printProfile(Prof, Opts.ProfileTopN);
   if (R.Bound == gov::BoundReason::Cancelled || GlobalCancel.isCancelled())
     Rec.setInterrupted(true);
@@ -462,6 +445,9 @@ int main(int Argc, char **Argv) {
   // interrupted, and exits 3 (never a crash, never a lost report).
   std::signal(SIGINT, handleTerminationSignal);
   std::signal(SIGTERM, handleTerminationSignal);
+  // Every check of the run shares GlobalCancel, so one SIGINT drains
+  // them all.
+  Opts.Cfg.Common.Budget.Cancel = &GlobalCancel;
 
   std::string Source;
   std::string Name;
@@ -517,7 +503,7 @@ int main(int Argc, char **Argv) {
   }
 
   if (Opts.UseConcEngine)
-    return runConcEngine(*Program, Opts, S.context(), Rec, Name, BeatPtr);
+    return runConcEngine(*Program, S.config(), Opts, S.context(), Rec, Name);
 
   if (Opts.RaceAll) {
     Rec.setMeta("mode", "race-all");

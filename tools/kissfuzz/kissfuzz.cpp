@@ -27,6 +27,7 @@
 
 #include "fuzz/Fuzzer.h"
 #include "fuzz/Repro.h"
+#include "kiss/Config.h"
 #include "support/Cli.h"
 #include "support/Governor.h"
 #include "telemetry/Telemetry.h"
@@ -50,27 +51,15 @@ gov::CancellationToken GlobalCancel;
 extern "C" void handleTerminationSignal(int) { GlobalCancel.requestCancel(); }
 
 struct CliOptions {
-  uint64_t Seed = 1;
-  uint64_t Cases = 100;
-  unsigned Jobs = 1;
-  unsigned MaxTs = 2;
-  unsigned MaxSwitches = 2;
-  uint64_t MaxStates = 150'000;
-  double TimeoutSec = 0;       ///< Per engine run; 0 = none.
-  uint64_t MemoryBudgetMB = 0; ///< Per engine run; 0 = none.
-  GenOptions Grammar;
+  /// The campaign; the flags write straight into it, its oracle's check
+  /// configuration included (budgets are per engine run; 0 = none).
+  FuzzOptions Fuzz;
   // Presence flags for default-on behaviour; folded after parsing.
   bool NoLocks = false;
   bool NoAsserts = false;
   bool NoVary = false;
   bool NoShrink = false;
   bool NoCompleteness = false;
-  bool VaryGrammar = true;
-  bool Shrink = true;
-  bool CheckCompleteness = true;
-  bool BreakTransform = false;
-  bool ExecDiff = false;
-  bool EngineDiff = false;
   bool Smoke = false;
   bool ZeroTimings = false;
   std::string ReportPath;
@@ -85,29 +74,39 @@ struct CliOptions {
 /// --report, --zero-timings, --max-switches) match kisscheck.
 cli::ArgParser makeParser(CliOptions &Opts) {
   cli::ArgParser P("usage: kissfuzz [options]");
-  P.flag("seed", Opts.Seed, "<n>",
+  FuzzOptions &Fuzz = Opts.Fuzz;
+  CheckConfig &Kiss = Fuzz.Oracle.Kiss;
+  P.flag("seed", Fuzz.Seed, "<n>",
          "campaign seed (case I uses seed+I; default 1)");
-  P.flag("cases", Opts.Cases, "<n>", "number of cases (default 100)");
-  P.flag("jobs", Opts.Jobs, "<n>", "worker threads (0 = all cores)");
-  P.flag("max-ts", Opts.MaxTs, "<n>",
-         "MAX for the KISS side (default 2)");
-  P.flagPositive("max-switches", Opts.MaxSwitches, "<k>",
+  P.flag("cases", Fuzz.Cases, "<n>", "number of cases (default 100)");
+  P.flag("jobs", Fuzz.Jobs, "<n>", "worker threads (0 = all cores)");
+  P.flag("max-ts", Kiss.MaxTs, "<n>", "MAX for the KISS side (default 2)");
+  P.flagPositive("max-switches", Kiss.MaxSwitches, "<k>",
                  "context-switch bound K for the KISS side (default 2)");
-  P.flag("max-states", Opts.MaxStates, "<n>",
+  P.flag("max-states", Kiss.MaxStates, "<n>",
          "per-engine state budget (default 150000)");
-  P.flagPositive("timeout", Opts.TimeoutSec, "<secs>",
+  P.flagPositive("timeout", Kiss.Common.Budget.DeadlineSec, "<secs>",
                  "per-engine wall-clock deadline");
-  P.flagPositive("memory-budget", Opts.MemoryBudgetMB, "<mb>",
-                 "per-engine visited-set byte budget");
-  P.flagPositive("threads", Opts.Grammar.Threads, "<n>",
+  P.custom("memory-budget", "<mb>", "per-engine visited-set byte budget",
+           [&Kiss](const std::string &V, std::string &E) {
+             std::string Err;
+             if (!config::setField(Kiss, "memory_budget_mb", V, Err) ||
+                 Kiss.Common.Budget.MemoryBytes == 0) {
+               E = "--memory-budget needs a positive number of at most " +
+                   std::to_string(UINT64_MAX >> 20);
+               return false;
+             }
+             return true;
+           });
+  P.flagPositive("threads", Fuzz.Grammar.Threads, "<n>",
                  "grammar: max threads incl. main (default 2)");
-  P.flag("stmts", Opts.Grammar.Stmts, "<n>",
+  P.flag("stmts", Fuzz.Grammar.Stmts, "<n>",
          "grammar: statements per body (default 4)");
-  P.flag("depth", Opts.Grammar.Depth, "<n>",
+  P.flag("depth", Fuzz.Grammar.Depth, "<n>",
          "grammar: nesting budget (default 2)");
-  P.flag("helpers", Opts.Grammar.Helpers, "<n>",
+  P.flag("helpers", Fuzz.Grammar.Helpers, "<n>",
          "grammar: helper procedures (default 1)");
-  P.flag("pointers", Opts.Grammar.WithPointers,
+  P.flag("pointers", Fuzz.Grammar.WithPointers,
          "grammar: enable the pointer-bearing variant");
   P.flag("no-locks", Opts.NoLocks, "grammar: drop the lock idiom");
   P.flag("no-asserts", Opts.NoAsserts, "grammar: drop user assertions");
@@ -115,10 +114,10 @@ cli::ArgParser makeParser(CliOptions &Opts) {
          "use the grammar verbatim (no per-case sweep)");
   P.flag("no-shrink", Opts.NoShrink, "report findings unshrunk");
   P.flag("no-completeness", Opts.NoCompleteness, "soundness-only oracle");
-  P.flag("break-transform", Opts.BreakTransform,
+  P.flag("break-transform", Kiss.InjectBreakAsserts,
          "(testing) sabotage the transform — the oracle must\n"
          "flag every reported error");
-  P.flag("exec-diff", Opts.ExecDiff,
+  P.flag("exec-diff", Fuzz.Oracle.ExecDiff,
          "run every case under both sequential execution engines\n"
          "and both store modes; any observable disagreement is an\n"
          "exec-divergence violation");
@@ -127,13 +126,13 @@ cli::ArgParser makeParser(CliOptions &Opts) {
            "every case under both check backends (seq and bebop);\n"
            "a verdict disagreement or non-replaying bebop witness\n"
            "is an exec-divergence violation",
-           [&Opts](const std::string &V, std::string &E) {
+           [&Fuzz](const std::string &V, std::string &E) {
              if (V != "bebop") {
                E = "--engine-diff only supports 'bebop'";
                return false;
              }
-             Opts.EngineDiff = true;
-             Opts.Grammar.BoolFragment = true;
+             Fuzz.Oracle.EngineDiff = true;
+             Fuzz.Grammar.BoolFragment = true;
              return true;
            });
   P.flag("smoke", Opts.Smoke, "the fixed-seed CI preset (~30 s)");
@@ -165,27 +164,13 @@ cli::ArgParser makeParser(CliOptions &Opts) {
 /// The CI preset: fixed seed, a case count that finishes in ~30 s on a
 /// small runner, and per-case budgets that bound tail latency.
 void applySmokePreset(CliOptions &Opts) {
-  Opts.Seed = 20040601; // The paper's year/month — fixed forever.
-  Opts.Cases = 1200;
-  Opts.MaxStates = 60'000;
-  Opts.TimeoutSec = 1.0;
-  Opts.Grammar.WithPointers = true;
-  Opts.Grammar.Threads = 3;
-}
-
-OracleOptions makeOracleOptions(const CliOptions &Opts) {
-  OracleOptions OO;
-  OO.MaxTs = Opts.MaxTs;
-  OO.MaxSwitches = Opts.MaxSwitches;
-  OO.MaxStates = Opts.MaxStates;
-  OO.Budget.DeadlineSec = Opts.TimeoutSec;
-  OO.Budget.MemoryBytes = Opts.MemoryBudgetMB * 1024 * 1024;
-  OO.Budget.Cancel = &GlobalCancel;
-  OO.CheckCompleteness = Opts.CheckCompleteness;
-  OO.InjectBreakAsserts = Opts.BreakTransform;
-  OO.ExecDiff = Opts.ExecDiff;
-  OO.EngineDiff = Opts.EngineDiff;
-  return OO;
+  FuzzOptions &Fuzz = Opts.Fuzz;
+  Fuzz.Seed = 20040601; // The paper's year/month — fixed forever.
+  Fuzz.Cases = 1200;
+  Fuzz.Oracle.Kiss.MaxStates = 60'000;
+  Fuzz.Oracle.Kiss.Common.Budget.DeadlineSec = 1.0;
+  Fuzz.Grammar.WithPointers = true;
+  Fuzz.Grammar.Threads = 3;
 }
 
 int runVerifyRepro(const CliOptions &Opts) {
@@ -206,14 +191,14 @@ int runVerifyRepro(const CliOptions &Opts) {
     return cli::ExitUsage;
   }
 
-  OracleOptions OO = makeOracleOptions(Opts);
-  OO.MaxTs = R.MaxTs;
+  OracleOptions OO = Opts.Fuzz.Oracle;
+  OO.Kiss.MaxTs = R.MaxTs;
   // Replay at the recorded K, widened when the command line asks for more
   // (the CI --max-switches=4 leg): soundness is K-independent and coverage
   // only grows with K, so every recorded verdict must survive a wider
   // window. Never narrow below the recorded bound.
-  OO.MaxSwitches = std::max(R.MaxSwitches, Opts.MaxSwitches);
-  OO.InjectBreakAsserts = OO.InjectBreakAsserts || R.BreakTransform;
+  OO.Kiss.MaxSwitches = std::max(R.MaxSwitches, OO.Kiss.MaxSwitches);
+  OO.Kiss.InjectBreakAsserts |= R.BreakTransform;
   OracleResult O = runOracle(R.Source, OO);
   std::printf("%s: recorded %s, observed %s\n", Opts.VerifyReproPath.c_str(),
               getOracleVerdictName(R.Expect), getOracleVerdictName(O.V));
@@ -267,11 +252,13 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "%s", Parser.usage().c_str());
     return cli::ExitUsage;
   }
-  Opts.Grammar.WithLocks = !Opts.NoLocks;
-  Opts.Grammar.WithAsserts = !Opts.NoAsserts;
-  Opts.VaryGrammar = !Opts.NoVary;
-  Opts.Shrink = !Opts.NoShrink;
-  Opts.CheckCompleteness = !Opts.NoCompleteness;
+  FuzzOptions &Fuzz = Opts.Fuzz;
+  Fuzz.Grammar.WithLocks = !Opts.NoLocks;
+  Fuzz.Grammar.WithAsserts = !Opts.NoAsserts;
+  Fuzz.VaryGrammar = !Opts.NoVary;
+  Fuzz.Shrink = !Opts.NoShrink;
+  Fuzz.Oracle.CheckCompleteness = !Opts.NoCompleteness;
+  Fuzz.Oracle.Kiss.Common.Budget.Cancel = &GlobalCancel;
   if (Opts.Smoke)
     applySmokePreset(Opts);
 
@@ -279,8 +266,8 @@ int main(int Argc, char **Argv) {
   std::signal(SIGTERM, handleTerminationSignal);
 
   if (Opts.DumpProgram) {
-    GenOptions G = Opts.VaryGrammar ? varyOptions(Opts.DumpSeed, Opts.Grammar)
-                                    : Opts.Grammar;
+    GenOptions G = Fuzz.VaryGrammar ? varyOptions(Opts.DumpSeed, Fuzz.Grammar)
+                                    : Fuzz.Grammar;
     std::printf("%s", generateProgram(Opts.DumpSeed, G).c_str());
     return cli::ExitNoError;
   }
@@ -290,40 +277,30 @@ int main(int Argc, char **Argv) {
 
   telemetry::RunRecorder Rec;
 
-  FuzzOptions FO;
-  FO.Seed = Opts.Seed;
-  FO.Cases = Opts.Cases;
-  FO.Grammar = Opts.Grammar;
-  FO.VaryGrammar = Opts.VaryGrammar;
-  FO.Oracle = makeOracleOptions(Opts);
-  FO.Shrink = Opts.Shrink;
-  // The campaign-level budget: runCampaign propagates it into each
-  // oracle evaluation, overriding FO.Oracle.Budget.
-  FO.Common.Budget = FO.Oracle.Budget;
-  FO.Common.Recorder = &Rec;
-  FO.Common.Jobs = Opts.Jobs;
+  Fuzz.Recorder = &Rec;
 
+  const CheckConfig &Kiss = Fuzz.Oracle.Kiss;
   Rec.setMeta("tool", "kissfuzz");
-  Rec.setMeta("seed", std::to_string(Opts.Seed));
-  Rec.setMeta("cases", std::to_string(Opts.Cases));
-  Rec.setMeta("max_ts", std::to_string(Opts.MaxTs));
+  Rec.setMeta("seed", std::to_string(Fuzz.Seed));
+  Rec.setMeta("cases", std::to_string(Fuzz.Cases));
+  Rec.setMeta("max_ts", std::to_string(Kiss.MaxTs));
   // Only recorded off-default so pre-K golden reports stay byte-identical.
-  if (Opts.MaxSwitches != 2)
-    Rec.setMeta("max_switches", std::to_string(Opts.MaxSwitches));
-  Rec.setMeta("max_states", std::to_string(Opts.MaxStates));
-  Rec.setMeta("grammar_threads", std::to_string(Opts.Grammar.Threads));
+  if (Kiss.MaxSwitches != 2)
+    Rec.setMeta("max_switches", std::to_string(Kiss.MaxSwitches));
+  Rec.setMeta("max_states", std::to_string(Kiss.MaxStates));
+  Rec.setMeta("grammar_threads", std::to_string(Fuzz.Grammar.Threads));
   Rec.setMeta("grammar_pointers",
-              Opts.Grammar.WithPointers ? "true" : "false");
-  Rec.setMeta("break_transform", Opts.BreakTransform ? "true" : "false");
+              Fuzz.Grammar.WithPointers ? "true" : "false");
+  Rec.setMeta("break_transform", Kiss.InjectBreakAsserts ? "true" : "false");
   // Only recorded when on so pre-v3 golden reports stay byte-identical.
-  if (Opts.ExecDiff)
+  if (Fuzz.Oracle.ExecDiff)
     Rec.setMeta("exec_diff", "true");
   // Likewise only-when-on, for pre-v5 reports.
-  if (Opts.EngineDiff)
+  if (Fuzz.Oracle.EngineDiff)
     Rec.setMeta("engine_diff", "bebop");
 
   auto FuzzSpan = Rec.beginPhase("fuzz");
-  FuzzSummary Sum = runCampaign(FO);
+  FuzzSummary Sum = runCampaign(Fuzz);
   FuzzSpan.end();
 
   std::printf("cases: %llu run, %llu skipped\n",
