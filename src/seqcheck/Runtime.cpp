@@ -6,6 +6,7 @@
 
 #include "seqcheck/Runtime.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -69,6 +70,14 @@ MachineState rt::makeInitialState(const Program &P, const cfg::ProgramCFG &CFG,
 
 namespace {
 
+/// The payload a zero-run record stands for: -1 (null) for a function,
+/// 0 for every other scalar kind.
+int64_t zeroPayload(ValueKind K) { return K == ValueKind::Func ? -1 : 0; }
+
+bool isZeroScalar(const Value &V) {
+  return V.K != ValueKind::Ptr && V.I == zeroPayload(V.K);
+}
+
 /// Serializer with heap renumbering. First pass discovers reachable heap
 /// objects in a deterministic order; second pass emits bytes with
 /// renumbered heap bases. Writes into a caller-owned buffer so successor
@@ -83,9 +92,12 @@ public:
     discover();
     // Size the buffer once so emit() can write through a bare pointer:
     // per-field append() calls (capacity check + size bookkeeping each)
-    // dominated BFS profiles. Every value record is at most 14 bytes;
-    // headers are 12 bytes of section counts, 4 per heap object, 8 per
-    // thread, and 17 per frame.
+    // dominated BFS profiles. Every value costs at most a pointer record
+    // (a zero run is narrower and covers at least one field); headers are
+    // 12 bytes of section counts, 4 per heap object, 8 per thread, and a
+    // frame header per frame.
+    static_assert(KeyZeroRunBytes <= KeyPtrBytes &&
+                  KeyScalarBytes <= KeyPtrBytes);
     size_t Values = S.Globals.size() + HeapValues;
     size_t Frames = 0;
     for (const Thread &T : S.Threads) {
@@ -93,8 +105,8 @@ public:
       for (const Frame &F : T.Frames)
         Values += F.Locals.size();
     }
-    size_t Bound = 12 + 14 * Values + 4 * Order.size() +
-                   8 * S.Threads.size() + 17 * Frames;
+    size_t Bound = 12 + KeyPtrBytes * Values + 4 * Order.size() +
+                   8 * S.Threads.size() + KeyFrameHeaderBytes * Frames;
     Out.resize(Bound);
     P = Out.data();
     emit();
@@ -128,32 +140,36 @@ private:
     }
   }
 
-  // Multi-byte fields are written by memcpy in host byte order: the
-  // encoding is compared only within one process, so all that matters is
-  // that equal states produce equal bytes.
-  void putU32(uint32_t V) {
-    std::memcpy(P, &V, sizeof(V));
-    P += sizeof(V);
-  }
+  void putU32(uint32_t V) { putKeyU32(P, V); }
 
   void putValue(const Value &V) {
-    P[0] = static_cast<char>(V.K);
-    if (V.K == ValueKind::Ptr) {
-      P[1] = static_cast<char>(V.A.Space);
-      uint32_t Base = V.A.Base;
-      if (V.A.Space == AddrSpace::Heap) {
-        assert(Renumber[Base] != NotSeen && "pointer to undiscovered object");
-        Base = Renumber[Base];
+    if (V.K != ValueKind::Ptr || V.A.Space != AddrSpace::Heap)
+      return putKeyValue(P, V);
+    assert(Renumber[V.A.Base] != NotSeen && "pointer to undiscovered object");
+    Value R = V;
+    R.A.Base = Renumber[V.A.Base];
+    putKeyValue(P, R);
+  }
+
+  /// Writes heap fields, each maximal run of zero scalars of one kind (up
+  /// to MaxZeroRun) as one zero-run record.
+  void putFields(const std::vector<Value> &Fields) {
+    const Value *F = Fields.data(), *E = F + Fields.size();
+    while (F != E) {
+      if (!isZeroScalar(*F)) {
+        putValue(*F++);
+        continue;
       }
-      std::memcpy(P + 2, &V.A.Thread, sizeof(uint32_t));
-      std::memcpy(P + 6, &Base, sizeof(uint32_t));
-      std::memcpy(P + 10, &V.A.Offset, sizeof(uint32_t));
-      P += 14;
-      return;
+      const ValueKind K = F->K;
+      const Value *RunEnd = F + std::min<size_t>(E - F, MaxZeroRun);
+      const Value *R = F + 1;
+      while (R != RunEnd && R->K == K && isZeroScalar(*R))
+        ++R;
+      P[0] = static_cast<char>(ZeroRunTag | static_cast<uint8_t>(K));
+      P[1] = static_cast<char>(R - F);
+      P += KeyZeroRunBytes;
+      F = R;
     }
-    uint64_t I = static_cast<uint64_t>(V.I);
-    std::memcpy(P + 1, &I, sizeof(I));
-    P += 9;
   }
 
   void emit() {
@@ -165,8 +181,7 @@ private:
     for (uint32_t Obj : Order) {
       const HeapObject &H = S.Heap[Obj];
       putU32(H.Fields.size());
-      for (const Value &V : H.Fields)
-        putValue(V);
+      putFields(H.Fields);
     }
 
     putU32(S.Threads.size());
@@ -174,11 +189,7 @@ private:
       putU32(T.AtomicDepth);
       putU32(T.Frames.size());
       for (const Frame &F : T.Frames) {
-        putU32(F.Func);
-        putU32(F.PC);
-        *P++ = static_cast<char>(F.RetVar.Scope);
-        putU32(F.RetVar.Index);
-        putU32(F.Locals.size());
+        putKeyFrameHeader(P, F.Func, F.PC, F.RetVar, F.Locals.size());
         for (const Value &V : F.Locals)
           putValue(V);
       }
@@ -237,8 +248,7 @@ public:
     for (HeapObject &H : S.Heap) {
       H.Struct = nullptr;
       H.Fields.resize(getU32());
-      for (Value &V : H.Fields)
-        getValue(V);
+      getFields(H.Fields);
     }
 
     S.Threads.resize(getU32());
@@ -284,6 +294,25 @@ private:
     return V;
   }
 
+  /// Mirror of StateEncoder::putFields.
+  void getFields(std::vector<Value> &Fields) {
+    Value *F = Fields.data(), *E = F + Fields.size();
+    while (F != E) {
+      const uint8_t Tag = static_cast<uint8_t>(P[0]);
+      if (!(Tag & ZeroRunTag)) {
+        getValue(*F++);
+        continue;
+      }
+      const uint8_t Count = static_cast<uint8_t>(P[1]);
+      assert(Count != 0 && Count <= E - F && "zero run overruns the object");
+      Value Z;
+      Z.K = static_cast<ValueKind>(Tag & ~ZeroRunTag);
+      Z.I = zeroPayload(Z.K);
+      F = std::fill_n(F, Count, Z);
+      P += KeyZeroRunBytes;
+    }
+  }
+
   void getValue(Value &V) {
     V.K = static_cast<ValueKind>(P[0]);
     if (V.K == ValueKind::Ptr) {
@@ -292,14 +321,14 @@ private:
       std::memcpy(&V.A.Thread, P + 2, sizeof(uint32_t));
       std::memcpy(&V.A.Base, P + 6, sizeof(uint32_t));
       std::memcpy(&V.A.Offset, P + 10, sizeof(uint32_t));
-      P += 14;
+      P += KeyPtrBytes;
       return;
     }
     uint64_t I;
     std::memcpy(&I, P + 1, sizeof(I));
     V.I = static_cast<int64_t>(I);
     V.A = MemAddr();
-    P += 9;
+    P += KeyScalarBytes;
   }
 
   const char *Start;

@@ -23,6 +23,7 @@
 #include "lang/AST.h"
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -146,6 +147,22 @@ MachineState makeInitialState(const lang::Program &P,
 
 /// Canonically encodes \p S for visited-set deduplication. Heap objects are
 /// renumbered in reachability order; unreachable objects are dropped.
+///
+/// The key is three sections: globals, reachable heap objects, threads,
+/// each starting with its u32 count. An object starts with its u32 field
+/// count, a thread with its u32 AtomicDepth and frame count, a frame with
+/// a header (putKeyFrameHeader). A value is one of three records:
+///   - scalar: the kind byte, then the 8-byte payload (9 bytes);
+///   - pointer: the kind byte, the space byte, then Thread, Base and
+///     Offset as u32 (14 bytes);
+///   - zero run, heap fields only: ZeroRunTag | kind, then a count of
+///     1-255 consecutive fields of that scalar kind whose payload is zero
+///     (Undef, false, 0, null func), 2 bytes in all.
+/// The encoder always takes the longest run, so equal states still
+/// produce equal bytes. Globals and frame locals never use runs: their
+/// records keep one fixed width per kind class so KeyLayout can patch
+/// them in place. Heap fields may vary in width because every heap write
+/// re-encodes the whole key.
 std::string encodeState(const MachineState &S);
 
 /// As encodeState, but clears \p Out and encodes into it, reusing its
@@ -162,19 +179,72 @@ void encodeStateInto(const MachineState &S, std::string &Out);
 /// engine reads it after allocation.
 void decodeStateInto(std::string_view Key, MachineState &Out);
 
+/// Record widths of the canonical key (see encodeState).
+inline constexpr size_t KeyScalarBytes = 9;       ///< Kind, 8-byte payload.
+inline constexpr size_t KeyPtrBytes = 14;         ///< Kind, space, 3 x u32.
+inline constexpr size_t KeyZeroRunBytes = 2;      ///< Tag, count.
+inline constexpr size_t KeyFrameHeaderBytes = 17; ///< See putKeyFrameHeader.
+/// Marks a zero-run record; the low bits carry the run's ValueKind, which
+/// is always below it.
+inline constexpr uint8_t ZeroRunTag = 0x80;
+inline constexpr size_t MaxZeroRun = 255; ///< The count is one byte.
+
+/// Writes a u32 in the canonical-key format at cursor \p C, which must
+/// point into a buffer with room for it. Multi-byte fields are written in
+/// host byte order: keys are compared only within one process.
+inline void putKeyU32(char *&C, uint32_t V) {
+  std::memcpy(C, &V, sizeof(V));
+  C += sizeof(V);
+}
+
+/// Writes a frame record's header (KeyFrameHeaderBytes): Func, PC, the
+/// RetVar scope byte and index, and the local count. The locals' records
+/// follow it.
+inline void putKeyFrameHeader(char *&C, uint32_t Func, uint32_t PC,
+                              lang::VarId RetVar, uint32_t NumLocals) {
+  putKeyU32(C, Func);
+  putKeyU32(C, PC);
+  *C++ = static_cast<char>(RetVar.Scope);
+  putKeyU32(C, RetVar.Index);
+  putKeyU32(C, NumLocals);
+}
+
+/// Writes the fixed-width record of non-pointer value \p V.
+inline void putKeyScalar(char *&C, const Value &V) {
+  C[0] = static_cast<char>(V.K);
+  const uint64_t I = static_cast<uint64_t>(V.I);
+  std::memcpy(C + 1, &I, sizeof(I));
+  C += KeyScalarBytes;
+}
+
+/// Writes the fixed-width record of \p V. Heap bases are taken verbatim,
+/// so they must already be canonical.
+inline void putKeyValue(char *&C, const Value &V) {
+  if (V.K != ValueKind::Ptr)
+    return putKeyScalar(C, V);
+  C[0] = static_cast<char>(V.K);
+  C[1] = static_cast<char>(V.A.Space);
+  std::memcpy(C + 2, &V.A.Thread, sizeof(uint32_t));
+  std::memcpy(C + 6, &V.A.Base, sizeof(uint32_t));
+  std::memcpy(C + 10, &V.A.Offset, sizeof(uint32_t));
+  C += KeyPtrBytes;
+}
+
 /// Byte offsets into one canonical key, recorded during decoding, that let
 /// an engine build a successor key by patching the parent's bytes in place
 /// instead of re-encoding the whole state. Only thread 0's hot slots are
-/// tracked (the sequential engines run exactly one live thread). A layout
+/// tracked (the sequential engines run exactly one live thread), and only
+/// global and local slots, whose records never use zero runs. A layout
 /// is valid only for the exact key it was decoded from, and only for
 /// patches that preserve record widths: a non-pointer value may be
-/// overwritten by any non-pointer value (both encode as 9 bytes), and the
-/// u32 PC / AtomicDepth fields may be overwritten freely. Pointer writes
-/// and allocation change layout and must re-encode. Frame push/pop is
-/// patchable only in the single-thread case, where the top frame is the
-/// final record of the key: a call appends a frame record (and a return
-/// truncates one) without disturbing any earlier byte, provided heap
-/// reachability is unaffected — see the engine's Call/Return fast paths.
+/// overwritten by any non-pointer value (both encode as KeyScalarBytes),
+/// and the u32 PC / AtomicDepth fields may be overwritten freely. Pointer
+/// writes, heap writes and allocation change layout and must re-encode.
+/// Frame push/pop is patchable only in the single-thread case, where the
+/// top frame is the final record of the key: a call appends a frame
+/// record (and a return truncates one) without disturbing any earlier
+/// byte, provided heap reachability is unaffected — see the engine's
+/// Call/Return fast paths.
 struct KeyLayout {
   std::vector<uint32_t> GlobalOff;   ///< Value record offset per global.
   std::vector<uint32_t> TopLocalOff; ///< Per local of thread 0's top frame.

@@ -76,31 +76,6 @@ struct FuncInfo {
   const Type *RetTy = nullptr;
 };
 
-/// Appends a u32 in the canonical-key format at cursor \p C, which must
-/// point into a buffer with room for it.
-void putKeyU32(char *&C, uint32_t V) {
-  std::memcpy(C, &V, sizeof(V));
-  C += sizeof(V);
-}
-
-/// Appends one value record in the canonical-key format. Heap bases are
-/// taken verbatim: values read out of a decoded canonical state already
-/// carry renumbered bases, so no renumbering pass is needed.
-void putKeyValue(char *&C, const Value &V) {
-  C[0] = static_cast<char>(V.K);
-  if (V.K == ValueKind::Ptr) {
-    C[1] = static_cast<char>(V.A.Space);
-    std::memcpy(C + 2, &V.A.Thread, sizeof(uint32_t));
-    std::memcpy(C + 6, &V.A.Base, sizeof(uint32_t));
-    std::memcpy(C + 10, &V.A.Offset, sizeof(uint32_t));
-    C += 14;
-    return;
-  }
-  uint64_t I = static_cast<uint64_t>(V.I);
-  std::memcpy(C + 1, &I, sizeof(I));
-  C += 9;
-}
-
 class ThreadedEngine {
 public:
   ThreadedEngine(const Program &P, const cfg::ProgramCFG &CFG,
@@ -150,10 +125,11 @@ private:
   // scalar (non-pointer over non-pointer) variable differ from the parent
   // key in a fixed-width slice whose offset Layout recorded during the
   // pop's decode. Patching those bytes directly produces exactly the bytes
-  // encodeState would: scalar records are always 9 bytes, and a scalar
-  // overwrite cannot change heap reachability, so the renumbering and
-  // every other byte of the key are untouched. W itself stays pristine
-  // (reads for expression evaluation still see the parent state).
+  // encodeState would: global and local scalar records are always
+  // KeyScalarBytes wide, and a scalar overwrite cannot change heap
+  // reachability, so the renumbering and every other byte of the key are
+  // untouched. W itself stays pristine (reads for expression evaluation
+  // still see the parent state).
   //
   // PSum is PKey's key-hash word sum (keyWordSum), and no pop rehashes
   // PKey to get it: each state's sum is queued in Sums when the state is
@@ -180,16 +156,16 @@ private:
 
   void patchU32(uint32_t Off, uint32_t V) {
     char B[sizeof(V)];
-    std::memcpy(B, &V, sizeof(V));
+    char *C = B;
+    putKeyU32(C, V);
     patchBytes(Off, B);
   }
 
   void patchValue(uint32_t Off, const Value &V) {
     assert(V.K != ValueKind::Ptr && "pointer records are wider");
-    char B[9];
-    B[0] = static_cast<char>(V.K);
-    uint64_t I = static_cast<uint64_t>(V.I);
-    std::memcpy(B + 1, &I, sizeof(I));
+    char B[KeyScalarBytes];
+    char *C = B;
+    putKeyScalar(C, V);
     patchBytes(Off, B);
   }
 
@@ -521,13 +497,10 @@ StepResult::Kind ThreadedEngine::exec(uint32_t Id, Explorer::Fault &F) {
         const auto &Args = I.CallE->getArgs();
         const size_t Base = PKey.size();
         const uint64_t OldTail = tailSum(Base);
-        PKey.resize(Base + 17 + 14 * size_t(FI.NumLocals));
+        PKey.resize(Base + KeyFrameHeaderBytes +
+                    KeyPtrBytes * size_t(FI.NumLocals));
         char *C = PKey.data() + Base;
-        putKeyU32(C, Callee);
-        putKeyU32(C, FI.Entry);
-        *C++ = static_cast<char>(I.Dst.Scope);
-        putKeyU32(C, I.Dst.Index);
-        putKeyU32(C, FI.NumLocals);
+        putKeyFrameHeader(C, Callee, FI.Entry, I.Dst, FI.NumLocals);
         for (unsigned K = 0, E = Args.size(); K != E; ++K) {
           Value V;
           if (!M.evalAtom(Args[K].get(), V)) {

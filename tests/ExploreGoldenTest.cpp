@@ -415,8 +415,9 @@ TEST(ExploreWorkspaceTest, PoolKeepsWorkspacesUpToTheCap) {
     Held.push_back(std::make_unique<rt::Explorer>(*P, CFG, Opts));
 
   // Past 32 MiB of arena the arena's own capacity is 64 MiB, so the
-  // workspace is over the cap: it is freed, not pooled.
-  rt::CheckResult Big = checkHeavyField(60'000);
+  // workspace is over the cap: it is freed, not pooled. The heavy field's
+  // keys are ~317 B, so that takes about 106,000 states.
+  rt::CheckResult Big = checkHeavyField(120'000);
   ASSERT_EQ(Big.Outcome, rt::CheckOutcome::BoundExceeded);
   ASSERT_GT(Big.Exploration.ArenaBytes, size_t(32) << 20);
   EXPECT_EQ(rt::Explorer::pooledBytes(), 0u);
