@@ -411,7 +411,7 @@ std::string cacheKey(std::string_view Source, std::string_view Field,
     Key += F.Render(Cfg);
     Key += "\n";
   }
-  Key += "--source--\n";
+  Key += SourceMarker;
   Key += Source;
   return Key;
 }

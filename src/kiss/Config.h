@@ -128,6 +128,11 @@ void addFlags(cli::ArgParser &P, CheckConfig &Cfg,
 std::string cacheKey(std::string_view Source, std::string_view Field,
                      const CheckConfig &Cfg);
 
+/// The line cacheKey() writes between the config lines and the source.
+/// kissd's result cache splits each key at its first occurrence, so the
+/// program text is stored once however many names and configs share it.
+inline constexpr std::string_view SourceMarker = "--source--\n";
+
 } // namespace kiss::config
 
 #endif // KISS_KISS_CONFIG_H

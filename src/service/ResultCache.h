@@ -6,16 +6,25 @@
 ///
 /// \file
 /// kissd's result cache: canonical request key (config::cacheKey plus the
-/// program name) to deterministic result core. Keys are stored in full —
-/// hash-then-verify through the unordered_map, so equal results require
-/// equal requests and a 64-bit hash collision can never replay the wrong
-/// verdict.
+/// program name) to deterministic result core.
+///
+/// Clients send the same program many times — one race check per field,
+/// under several names and configs — so the cache stores keys in two
+/// levels. A key splits at its first config::SourceMarker into a head
+/// (name and config lines) and a source tail (the marker to the end); the
+/// tail maps to a table from head to core. Each distinct source is thus
+/// stored once, and an entry costs its head and its core. Head + tail is
+/// the whole key and both levels compare full strings (hash-then-verify),
+/// so equal results require equal requests and a hash collision can never
+/// replay the wrong verdict — also when a name or a source contains the
+/// marker, or a key has none.
 ///
 /// The cache is optionally persistent: load() reads a snapshot written by
 /// a previous daemon, save() writes one atomically (temp file + rename).
-/// The snapshot is a length-prefixed record stream behind a version
-/// header; loading is truncation-tolerant, so a daemon killed mid-save at
-/// worst loses the tail of the cache, never the ability to start.
+/// The snapshot is a length-prefixed stream of whole-key records behind a
+/// version header, written and read one record at a time; loading is
+/// truncation-tolerant, so a daemon killed mid-save at worst loses the
+/// tail of the cache, never the ability to start.
 ///
 /// Thread-safe: workers and connection threads share one instance behind
 /// a single mutex (entries are small and lookups are rare relative to
@@ -27,8 +36,10 @@
 #define KISS_SERVICE_RESULTCACHE_H
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 namespace kiss::service {
@@ -37,10 +48,10 @@ class ResultCache {
 public:
   /// Looks up \p Key, copying the cached core into \p Value on a hit.
   /// Counts the probe as a hit or miss.
-  bool lookup(const std::string &Key, std::string &Value);
+  bool lookup(std::string_view Key, std::string &Value);
 
   /// Inserts (or overwrites — same key means same bytes) one entry.
-  void insert(const std::string &Key, std::string Value);
+  void insert(std::string_view Key, std::string Value);
 
   /// Loads a snapshot file over the current contents. A missing file is
   /// success (a fresh daemon); a malformed header is an error; a
@@ -53,10 +64,33 @@ public:
   uint64_t hits() const;
   uint64_t misses() const;
   uint64_t size() const;
+  /// Stored bytes: each distinct source once, plus every entry's head
+  /// and core.
+  uint64_t bytes() const;
+  /// Distinct sources stored.
+  uint64_t sources() const;
 
 private:
+  /// Hashes std::string and std::string_view alike, so a lookup by view
+  /// allocates nothing. Deliberately not noexcept: libstdc++ then keeps
+  /// each node's hash, and a probe never rehashes a stored source.
+  struct StringHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view S) const {
+      return std::hash<std::string_view>{}(S);
+    }
+  };
+  template <typename V>
+  using StringMap =
+      std::unordered_map<std::string, V, StringHash, std::equal_to<>>;
+
+  void insertLocked(std::string_view Key, std::string Value);
+
   mutable std::mutex Mu;
-  std::unordered_map<std::string, std::string> Map;
+  /// Source tail -> key head -> core.
+  StringMap<StringMap<std::string>> Map;
+  uint64_t Entries = 0;
+  uint64_t Bytes = 0;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
 };

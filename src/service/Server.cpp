@@ -12,6 +12,7 @@
 #include <cstring>
 #include <netinet/in.h>
 #include <poll.h>
+#include <system_error>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -24,9 +25,7 @@ Server::Server(const ServerOptions &O)
 
 Server::~Server() {
   requestShutdown();
-  for (std::thread &T : Connections)
-    if (T.joinable())
-      T.join();
+  reapConnections(/*All=*/true);
   if (ListenFd >= 0)
     ::close(ListenFd);
   if (!Opts.SocketPath.empty())
@@ -90,6 +89,7 @@ bool Server::start(std::string &Error) {
 int Server::serve() {
   const gov::CancellationToken &Tok = Svc.cancelToken();
   while (!Tok.isCancelled()) {
+    reapConnections(/*All=*/false);
     pollfd P = {ListenFd, POLLIN, 0};
     int Ready = ::poll(&P, 1, /*timeout_ms=*/100);
     if (Ready < 0) {
@@ -102,19 +102,41 @@ int Server::serve() {
     int Fd = ::accept(ListenFd, nullptr, nullptr);
     if (Fd < 0)
       continue;
-    Connections.emplace_back([this, Fd] { handleConnection(Fd); });
+    auto C = std::make_unique<Connection>();
+    try {
+      C->Thread = std::thread([this, Fd, Done = &C->Done] {
+        handleConnection(Fd);
+        *Done = true;
+      });
+    } catch (const std::system_error &E) {
+      // No thread (or no stack mapping) to spare: refuse this client
+      // and keep serving the others.
+      std::fprintf(stderr, "kissd: dropped a connection: %s\n", E.what());
+      ::close(Fd);
+      continue;
+    }
+    Connections.push_back(std::move(C));
+    HeldThreads = Connections.size();
   }
   // Drain: every connection notices the token within one poll slice;
   // in-flight checks trip through their governors and still answer.
-  for (std::thread &T : Connections)
-    T.join();
-  Connections.clear();
+  reapConnections(/*All=*/true);
   std::string Error;
   if (!Svc.saveCache(Error)) {
     std::fprintf(stderr, "kissd: %s\n", Error.c_str());
     return 2;
   }
   return 0;
+}
+
+void Server::reapConnections(bool All) {
+  std::erase_if(Connections, [All](const std::unique_ptr<Connection> &C) {
+    if (!All && !C->Done)
+      return false;
+    C->Thread.join();
+    return true;
+  });
+  HeldThreads = Connections.size();
 }
 
 void Server::handleConnection(int Fd) {

@@ -8,12 +8,15 @@
 /// Connection plumbing around CheckService: bind a Unix-domain or local
 /// TCP socket, accept connections, run one thread per connection that
 /// reads frames, answers control actions (ping/stats/shutdown) inline,
-/// and blocks on the service for check requests. Shutdown — the shutdown
-/// action, SIGTERM via requestShutdown(), or destruction — is a drain:
-/// the cancel token trips in-flight explorations (they complete with
-/// degraded bound responses that still reach their clients), idle
-/// connections close at their next poll slice, and the cache snapshot is
-/// written before serve() returns.
+/// and blocks on the service for check requests. The accept loop joins
+/// finished connection threads as it goes, so a long-lived daemon holds
+/// threads (and their stacks) only for open connections; a connection
+/// whose thread cannot start is closed and serving goes on. Shutdown —
+/// the shutdown action, SIGTERM via requestShutdown(), or destruction —
+/// is a drain: the cancel token trips in-flight explorations (they
+/// complete with degraded bound responses that still reach their
+/// clients), idle connections close at their next poll slice, and the
+/// cache snapshot is written before serve() returns.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +25,8 @@
 
 #include "service/Service.h"
 
+#include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,14 +69,25 @@ public:
 
   CheckService &service() { return Svc; }
 
+  /// Connection threads started and not yet joined.
+  size_t connectionThreads() const { return HeldThreads; }
+
 private:
+  struct Connection {
+    std::thread Thread;
+    std::atomic<bool> Done{false};
+  };
+
   void handleConnection(int Fd);
+  /// Joins the connection threads that have finished, or all of them.
+  void reapConnections(bool All);
 
   ServerOptions Opts;
   CheckService Svc;
   int ListenFd = -1;
   int BoundPort = 0;
-  std::vector<std::thread> Connections;
+  std::vector<std::unique_ptr<Connection>> Connections;
+  std::atomic<size_t> HeldThreads{0};
 };
 
 } // namespace kiss::service

@@ -297,6 +297,10 @@ std::string CheckService::statsJson() const {
   Out += std::to_string(Bypasses.load(std::memory_order_relaxed));
   Out += ", \"cache_entries\": ";
   Out += std::to_string(Cache.size());
+  Out += ", \"cache_sources\": ";
+  Out += std::to_string(Cache.sources());
+  Out += ", \"cache_bytes\": ";
+  Out += std::to_string(Cache.bytes());
   Out += ", \"workers\": ";
   Out += std::to_string(Shards.size());
   Out += '}';

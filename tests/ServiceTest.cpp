@@ -7,24 +7,32 @@
 /// \file
 /// In-process integration tests of the checking service: the wire schema
 /// (parse/render round trips, versioning, strict unknown-key rejection),
-/// the persistent result cache (snapshot round trip, truncation
-/// tolerance), and CheckService itself — dispatch, the caching policy,
-/// injected budget trips, shutdown cancellation, and the determinism
-/// contract that a warm pooled session answers with bytes identical to a
-/// fresh standalone one.
+/// the persistent result cache (each source stored once, keys split at
+/// the source marker, snapshot round trip, truncation tolerance),
+/// CheckService itself — dispatch, the caching policy, injected budget
+/// trips, shutdown cancellation, and the determinism contract that a
+/// warm pooled session answers with bytes identical to a fresh standalone
+/// one — and the server's joining of finished connection threads.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "kiss/Config.h"
+#include "service/Client.h"
+#include "service/Server.h"
 #include "service/Service.h"
 #include "support/Json.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <unistd.h>
 
 using namespace kiss;
@@ -86,6 +94,33 @@ std::string readFile(const std::string &Path) {
   std::ostringstream Buffer;
   Buffer << In.rdbuf();
   return Buffer.str();
+}
+
+/// One counter of CheckService::statsJson, failing the test if absent.
+uint64_t statU64(const CheckService &Svc, const char *Key) {
+  json::Value V;
+  std::string Error;
+  EXPECT_TRUE(json::parse(Svc.statsJson(), "stats", V, Error)) << Error;
+  uint64_t N = 0;
+  const json::Value *M = V.find(Key);
+  EXPECT_TRUE(M && M->asU64(N)) << Key << " missing in " << Svc.statsJson();
+  return N;
+}
+
+/// The key kissd builds for \p Source checked under \p Name.
+std::string keyFor(const std::string &Source, const std::string &Name) {
+  return requestCacheKey(makeCheck(Source, Name));
+}
+
+/// A snapshot record in the on-disk format: [u32 key length][u32 value
+/// length][key][value], little-endian.
+std::string snapshotRecord(const std::string &Key, const std::string &Value) {
+  std::string Out;
+  for (uint32_t Len : {static_cast<uint32_t>(Key.size()),
+                       static_cast<uint32_t>(Value.size())})
+    for (unsigned Shift = 0; Shift != 32; Shift += 8)
+      Out.push_back(static_cast<char>(Len >> Shift));
+  return Out + Key + Value;
 }
 
 //===----------------------------------------------------------------------===//
@@ -232,6 +267,135 @@ TEST(ResultCache, BadMagicIsAnError) {
   std::string Error;
   EXPECT_FALSE(C.load(Path, Error));
   EXPECT_FALSE(Error.empty());
+  std::remove(Path.c_str());
+}
+
+TEST(ResultCache, SharedSourceIsStoredOnce) {
+  std::string Source = "int g = 0;\nvoid main() { assert(true); }\n";
+  while (Source.size() < 2048)
+    Source += "// padding the program to a realistic size\n";
+  ResultCache C;
+  uint64_t PerEntry = 0;
+  for (unsigned I = 0; I != 100; ++I) {
+    std::string Key = keyFor(Source, "prog" + std::to_string(I) + ".kiss");
+    std::string Core = "core-" + std::to_string(I);
+    PerEntry = std::max<uint64_t>(PerEntry,
+                                  Key.size() - Source.size() + Core.size());
+    C.insert(Key, Core);
+  }
+  EXPECT_EQ(C.size(), 100u);
+  EXPECT_EQ(C.sources(), 1u);
+  EXPECT_LE(C.bytes(), Source.size() + 100 * PerEntry);
+  std::string V;
+  ASSERT_TRUE(C.lookup(keyFor(Source, "prog42.kiss"), V));
+  EXPECT_EQ(V, "core-42");
+  EXPECT_FALSE(C.lookup(keyFor(Source, "prog100.kiss"), V));
+}
+
+TEST(ResultCache, KeyWithoutMarker) {
+  ResultCache C;
+  C.insert("plain-key", "core-plain");
+  std::string V;
+  ASSERT_TRUE(C.lookup("plain-key", V));
+  EXPECT_EQ(V, "core-plain");
+  EXPECT_FALSE(C.lookup("plain", V));
+  EXPECT_FALSE(C.lookup("plain-key-2", V));
+  EXPECT_EQ(C.size(), 1u);
+  EXPECT_EQ(C.sources(), 1u);
+  EXPECT_EQ(C.bytes(), std::string("plain-key").size() + 10);
+}
+
+TEST(ResultCache, NameContainingMarker) {
+  std::string Marker(config::SourceMarker);
+  std::string Plain = keyFor(SafeSource, "x");
+  std::string Marked = keyFor(SafeSource, "x" + Marker);
+  std::string Tail = keyFor(SafeSource, Marker + "x");
+  ResultCache C;
+  C.insert(Plain, "core-plain");
+  C.insert(Marked, "core-marked");
+  C.insert(Tail, "core-tail");
+  EXPECT_EQ(C.size(), 3u);
+  std::string V;
+  ASSERT_TRUE(C.lookup(Plain, V));
+  EXPECT_EQ(V, "core-plain");
+  ASSERT_TRUE(C.lookup(Marked, V));
+  EXPECT_EQ(V, "core-marked");
+  ASSERT_TRUE(C.lookup(Tail, V));
+  EXPECT_EQ(V, "core-tail");
+}
+
+TEST(ResultCache, MarkerPositionKeepsKeysDistinct) {
+  std::string M(config::SourceMarker);
+  const std::string Keys[] = {"x" + M + "yz", "xy" + M + "z",
+                              "x" + M + "y" + M + "z", "xyz" + M,
+                              M + "xyz",   "xy" + M + M + "z"};
+  ResultCache C;
+  for (size_t I = 0; I != std::size(Keys); ++I)
+    C.insert(Keys[I], "core" + std::to_string(I));
+  EXPECT_EQ(C.size(), std::size(Keys));
+  for (size_t I = 0; I != std::size(Keys); ++I) {
+    std::string V;
+    ASSERT_TRUE(C.lookup(Keys[I], V)) << I;
+    EXPECT_EQ(V, "core" + std::to_string(I));
+  }
+  std::string V;
+  EXPECT_FALSE(C.lookup("xyz", V));
+  EXPECT_FALSE(C.lookup("x" + M + "y", V));
+}
+
+TEST(ResultCache, HandBuiltSnapshotLoads) {
+  // Whole-key records, as every earlier daemon wrote them: two names
+  // sharing a source, a key without the marker, and one with two.
+  std::string M(config::SourceMarker);
+  const std::pair<std::string, std::string> Records[] = {
+      {keyFor(SafeSource, "a.kiss"), "{\"code\": 0}"},
+      {keyFor(SafeSource, "b.kiss"), "{\"code\": 0, \"b\": 1}"},
+      {keyFor(BuggySource, "a.kiss"), "{\"code\": 1}"},
+      {"no-marker", ""},
+      {"h" + M + "s" + M + "t", std::string("\0\xff", 2)},
+  };
+  std::string Path = tempPath("cache_handbuilt.bin");
+  {
+    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+    Out << "kissd-cache v1\n";
+    for (const auto &[Key, Value] : Records)
+      Out << snapshotRecord(Key, Value);
+  }
+  ResultCache C;
+  std::string Error;
+  ASSERT_TRUE(C.load(Path, Error)) << Error;
+  EXPECT_EQ(C.size(), std::size(Records));
+  EXPECT_EQ(C.sources(), 4u);
+  for (const auto &[Key, Value] : Records) {
+    std::string V;
+    ASSERT_TRUE(C.lookup(Key, V)) << Key;
+    EXPECT_EQ(V, Value);
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(ResultCache, SharedSourcesSurviveSnapshotRoundTrip) {
+  std::string Path = tempPath("cache_shared.bin");
+  ResultCache Saved;
+  for (unsigned I = 0; I != 10; ++I)
+    Saved.insert(keyFor(I % 2 ? SafeSource : BuggySource,
+                        "p" + std::to_string(I)),
+                 "core" + std::to_string(I));
+  std::string Error;
+  ASSERT_TRUE(Saved.save(Path, Error)) << Error;
+
+  ResultCache C;
+  ASSERT_TRUE(C.load(Path, Error)) << Error;
+  EXPECT_EQ(C.size(), 10u);
+  EXPECT_EQ(C.sources(), 2u);
+  EXPECT_EQ(C.bytes(), Saved.bytes());
+  for (unsigned I = 0; I != 10; ++I) {
+    std::string V;
+    ASSERT_TRUE(C.lookup(keyFor(I % 2 ? SafeSource : BuggySource,
+                                "p" + std::to_string(I)),
+                         V));
+    EXPECT_EQ(V, "core" + std::to_string(I));
+  }
   std::remove(Path.c_str());
 }
 
@@ -415,6 +579,59 @@ TEST(CheckService, NoCacheRequestsAlwaysRecompute) {
   ASSERT_NE(V.find("cache_bypasses"), nullptr);
   ASSERT_TRUE(V.find("cache_bypasses")->asU64(Bypasses));
   EXPECT_EQ(Bypasses, 2u);
+}
+
+TEST(CheckService, OneProgramUnderManyNamesStoresOneSource) {
+  CheckService Svc({2, ""});
+  constexpr unsigned Names = 8;
+  for (unsigned Round = 0; Round != 2; ++Round)
+    for (unsigned I = 0; I != Names; ++I)
+      EXPECT_EQ(Svc.check(makeCheck(SafeSource, "n" + std::to_string(I)))
+                    .Cache,
+                Round == 0 ? CacheDisposition::Miss : CacheDisposition::Hit);
+  EXPECT_EQ(Svc.cache().misses(), Names);
+  EXPECT_EQ(Svc.cache().hits(), Names);
+  EXPECT_EQ(statU64(Svc, "cache_entries"), Names);
+  EXPECT_EQ(statU64(Svc, "cache_sources"), 1u);
+  EXPECT_EQ(statU64(Svc, "cache_bytes"), Svc.cache().bytes());
+}
+
+//===----------------------------------------------------------------------===//
+// Server
+//===----------------------------------------------------------------------===//
+
+TEST(Server, ReapsFinishedConnectionThreads) {
+  ServerOptions O;
+  O.SocketPath = tempPath("reap.sock");
+  Server S(O);
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+  int Code = -1;
+  std::thread Serving([&] { Code = S.serve(); });
+
+  Request Ping;
+  Ping.A = Action::Ping;
+  size_t MaxHeld = 0;
+  for (unsigned I = 0; I != 200; ++I) {
+    Client C;
+    ASSERT_TRUE(C.connectUnix(O.SocketPath, Error)) << Error;
+    std::string Response;
+    ASSERT_TRUE(C.call(renderRequest(Ping), Response, Error)) << Error;
+    EXPECT_NE(Response.find("\"pong\""), std::string::npos);
+    MaxHeld = std::max(MaxHeld, S.connectionThreads());
+  }
+  // Every client has closed; the accept loop joins their threads within
+  // a poll slice or two.
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (S.connectionThreads() != 0 &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(S.connectionThreads(), 0u);
+  EXPECT_LE(MaxHeld, 16u);
+
+  S.requestShutdown();
+  Serving.join();
+  EXPECT_EQ(Code, 0);
 }
 
 //===----------------------------------------------------------------------===//

@@ -3,7 +3,9 @@
 # real unix socket: start kissd with a cache snapshot, drive it with
 # kissctl (ping, a miss, a byte-identical hit, stats, shutdown), then
 # restart the daemon and prove the snapshot answers the same request as a
-# hit with the same bytes.
+# hit with the same bytes. On the way, ~200 sequential pings must not grow
+# the daemon's memory mappings: each finished connection's thread has to
+# be joined, or its stack stays mapped.
 #
 #   service_smoke.sh <kissd> <kissctl> <workdir> <program.kiss>
 set -u
@@ -45,6 +47,24 @@ start_daemon() {
 start_daemon
 
 "$KISSCTL" --socket="$SOCK" --ping >/dev/null || fail "ping failed"
+
+# An unjoined thread keeps its stack and guard page: two lines of
+# /proc/<pid>/maps per connection. Joined stacks are reused, so the count
+# holds still up to a small margin (allocator arenas).
+MAPS=/proc/$KISSD_PID/maps
+if [ -r "$MAPS" ]; then
+  MAPS_BEFORE=$(wc -l <"$MAPS")
+  i=0
+  while [ $i -lt 200 ]; do
+    "$KISSCTL" --socket="$SOCK" --ping >/dev/null || fail "ping $i failed"
+    i=$((i + 1))
+  done
+  MAPS_AFTER=$(wc -l <"$MAPS")
+  [ "$MAPS_AFTER" -le $((MAPS_BEFORE + 40)) ] \
+    || fail "200 pings grew the daemon's mappings from $MAPS_BEFORE to $MAPS_AFTER lines"
+else
+  echo "service_smoke: no $MAPS; skipping the connection-thread check"
+fi
 
 # A cold check misses; its replay hits with byte-identical result bytes.
 "$KISSCTL" --socket="$SOCK" --print=result --max-ts=1 "$PROGRAM" \
