@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
@@ -133,7 +132,7 @@ public:
                   P.Funcs[P.EntryFunc].Entry, P.InitialGlobals, 0},
          Provenance{Provenance::Kind::Root, 0, 0});
 
-    while (!Worklist.empty()) {
+    while (Cursor != EdgeList.size()) {
       // The path-edge budget is checked against the count *before* the next
       // expansion, so a budget of N stops with exactly N edges recorded —
       // the same fencepost contract as the Heartbeat stride gate.
@@ -149,9 +148,7 @@ public:
         Result.Message = Gov.message();
         break;
       }
-      size_t Idx = Worklist.front();
-      Worklist.pop_front();
-      if (!process(Idx))
+      if (!process(Cursor++))
         break; // Assertion failure recorded.
       maybeSample();
     }
@@ -165,12 +162,17 @@ public:
   }
 
 private:
-  /// Approximate accounted memory: the edge list, the dedup index, and the
-  /// worklist. Deterministic for a fixed input (no allocator probing).
+  /// Edges recorded but not yet processed.
+  size_t frontier() const { return EdgeList.size() - Cursor; }
+
+  /// Approximate accounted memory: the edge list, the dedup index, and one
+  /// index per frontier edge (the figure a separate worklist would cost;
+  /// kept so reported bytes stay comparable). Deterministic for a fixed
+  /// input (no allocator probing).
   uint64_t accountedBytes() const {
     return EdgeList.size() * (sizeof(StoredEdge) + sizeof(PathEdge) +
                               sizeof(size_t) + 2 * sizeof(void *)) +
-           Worklist.size() * sizeof(size_t);
+           frontier() * sizeof(size_t);
   }
 
   void maybeSample() {
@@ -179,19 +181,19 @@ private:
     NextSample += Opts.SampleEvery;
     Result.Series.push_back(BebopSample{EdgeList.size(), NumSummaries,
                                         Propagations, DedupHits,
-                                        Worklist.size(), accountedBytes()});
+                                        frontier(), accountedBytes()});
   }
 
-  /// Records \p E (if new) with provenance \p Prov and queues it.
+  /// Records \p E (if new) with provenance \p Prov; new edges are
+  /// processed in recording order.
   /// \returns the edge's index either way.
   size_t seed(const PathEdge &E, const Provenance &Prov) {
     ++Propagations;
     auto [It, Inserted] = Index.try_emplace(E, EdgeList.size());
     if (Inserted) {
       EdgeList.push_back(StoredEdge{E, Prov});
-      Worklist.push_back(It->second);
-      Result.FrontierPeak = std::max<uint64_t>(Result.FrontierPeak,
-                                               Worklist.size());
+      Result.FrontierPeak =
+          std::max<uint64_t>(Result.FrontierPeak, frontier());
     } else {
       ++DedupHits;
     }
@@ -351,7 +353,8 @@ private:
   /// Insertion-ordered edges with provenance; Index deduplicates.
   std::vector<StoredEdge> EdgeList;
   std::unordered_map<PathEdge, size_t, PathEdgeHash> Index;
-  std::deque<size_t> Worklist;
+  /// The next edge to process: EdgeList is the worklist, FIFO by index.
+  size_t Cursor = 0;
   /// Summaries with the exit edge that first produced each output
   /// valuation: Func × entry config → { globals-out → exit edge index }.
   std::map<EntryKey, std::map<uint64_t, size_t>> SummaryExits;

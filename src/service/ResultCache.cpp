@@ -17,9 +17,9 @@ using namespace kiss::service;
 
 namespace {
 
-/// Snapshot header. The version is part of the text: an incompatible
-/// future format simply fails the header check and the daemon starts
-/// cold instead of misreading records.
+/// Snapshot header. The version is part of the text: a snapshot in an
+/// incompatible later format simply fails the header check and the
+/// daemon starts cold instead of misreading records.
 constexpr char Magic[] = "kissd-cache v1\n";
 constexpr size_t MagicLen = sizeof(Magic) - 1;
 

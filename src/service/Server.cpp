@@ -20,6 +20,9 @@
 using namespace kiss;
 using namespace kiss::service;
 
+/// How long the accept loop waits before re-checking the shutdown token.
+constexpr int PollSliceMs = 100;
+
 Server::Server(const ServerOptions &O)
     : Opts(O), Svc({O.Workers, O.CachePath}) {}
 
@@ -91,7 +94,7 @@ int Server::serve() {
   while (!Tok.isCancelled()) {
     reapConnections(/*All=*/false);
     pollfd P = {ListenFd, POLLIN, 0};
-    int Ready = ::poll(&P, 1, /*timeout_ms=*/100);
+    int Ready = ::poll(&P, 1, PollSliceMs);
     if (Ready < 0) {
       if (errno == EINTR)
         continue; // A signal (SIGTERM) — the loop condition re-checks.
@@ -100,8 +103,15 @@ int Server::serve() {
     if (Ready == 0)
       continue;
     int Fd = ::accept(ListenFd, nullptr, nullptr);
-    if (Fd < 0)
+    if (Fd < 0) {
+      // Out of descriptors or kernel memory: the pending connection
+      // stays queued and the listener stays readable, so polling again
+      // at once would spin. Wait a slice for connections to close.
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM)
+        std::this_thread::sleep_for(std::chrono::milliseconds(PollSliceMs));
       continue;
+    }
     auto C = std::make_unique<Connection>();
     try {
       C->Thread = std::thread([this, Fd, Done = &C->Done] {

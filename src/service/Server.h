@@ -8,10 +8,12 @@
 /// Connection plumbing around CheckService: bind a Unix-domain or local
 /// TCP socket, accept connections, run one thread per connection that
 /// reads frames, answers control actions (ping/stats/shutdown) inline,
-/// and blocks on the service for check requests. The accept loop joins
-/// finished connection threads as it goes, so a long-lived daemon holds
-/// threads (and their stacks) only for open connections; a connection
-/// whose thread cannot start is closed and serving goes on. Shutdown —
+/// and runs check requests itself through the service (which bounds how
+/// many explore at once). The accept loop joins finished connection
+/// threads as it goes, so a long-lived daemon holds threads (and their
+/// stacks) only for open connections; a connection whose thread cannot
+/// start is closed and serving goes on, and running out of descriptors
+/// pauses accepting for a poll slice instead of spinning. Shutdown —
 /// the shutdown action, SIGTERM via requestShutdown(), or destruction —
 /// is a drain: the cancel token trips in-flight explorations (they
 /// complete with degraded bound responses that still reach their
@@ -40,7 +42,7 @@ struct ServerOptions {
   /// TCP port on 127.0.0.1; 0 asks the kernel for an ephemeral port
   /// (read it back with port()). Ignored when SocketPath is set.
   int Port = 0;
-  unsigned Workers = 1;
+  unsigned Workers = 1; ///< Checks that may explore at once.
   std::string CachePath; ///< Result-cache snapshot; empty = memory only.
 };
 

@@ -1,4 +1,4 @@
-//===- Service.cpp - The warm-session check service -----------------------===//
+//===- Service.cpp - The kissd check service ------------------------------===//
 //
 // Part of the KISS reproduction of Qadeer & Wu, PLDI 2004.
 //
@@ -11,21 +11,13 @@
 #include "lower/Pipeline.h"
 #include "seqcheck/Result.h"
 #include "support/Cli.h"
-#include "support/Hashing.h"
 #include "support/Json.h"
 #include "telemetry/Telemetry.h"
-
-#include <future>
 
 using namespace kiss;
 using namespace kiss::service;
 
 namespace {
-
-/// Requests served before a worker rebuilds its Session. Reuse keeps the
-/// allocator and tables warm; the limit bounds symbol/source-buffer
-/// growth from a long-lived daemon compiling thousands of programs.
-constexpr unsigned SessionReuseLimit = 256;
 
 /// Renders the deterministic result core. \p Record is the rendered
 /// schema-v5 check record, or null when the request never reached the
@@ -65,6 +57,17 @@ bool parseCoreCode(const std::string &Core, int &Code) {
     return false;
   Code = static_cast<int>(N);
   return true;
+}
+
+/// Renders the uncached code-3 "fault" core of a request whose check
+/// threw.
+int renderFault(std::string_view Message, std::string &Core,
+                bool &Cacheable) {
+  Cacheable = false;
+  Core = renderCore(cli::ExitBoundExceeded, "bound exceeded",
+                    gov::getBoundReasonName(gov::BoundReason::Fault),
+                    Message, "", "", nullptr);
+  return cli::ExitBoundExceeded;
 }
 
 } // namespace
@@ -128,115 +131,13 @@ int service::runRequest(Session &S, const Request &R, std::string &Core,
 // CheckService
 //===----------------------------------------------------------------------===//
 
-namespace kiss::service {
-
-struct JobResult {
-  int Code = cli::ExitUsage;
-  std::string Core;
-  bool Cacheable = false;
-};
-
-struct CheckService::Job {
-  const Request *Req = nullptr;
-  std::promise<JobResult> Promise;
-};
-
-struct CheckService::Shard {
-  std::mutex Mu;
-  std::condition_variable Cv;
-  std::deque<Job> Jobs;
-  bool Stop = false;
-};
-
-} // namespace kiss::service
-
-CheckService::CheckService(ServiceOptions O) : CachePath(O.CachePath) {
+CheckService::CheckService(ServiceOptions O)
+    : Workers(O.Workers ? O.Workers : 1), Slots(Workers),
+      CachePath(O.CachePath) {
   if (!CachePath.empty()) {
     std::string Error;
     if (!Cache.load(CachePath, Error))
       CacheLoadError = Error;
-  }
-  unsigned N = O.Workers ? O.Workers : 1;
-  Shards.reserve(N);
-  for (unsigned I = 0; I != N; ++I)
-    Shards.push_back(std::make_unique<Shard>());
-  Threads.reserve(N);
-  for (unsigned I = 0; I != N; ++I)
-    Threads.emplace_back([this, I] { workerLoop(*Shards[I]); });
-}
-
-CheckService::~CheckService() {
-  for (auto &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S->Mu);
-    S->Stop = true;
-  }
-  for (auto &S : Shards)
-    S->Cv.notify_all();
-  for (std::thread &T : Threads)
-    T.join();
-}
-
-void CheckService::workerLoop(Shard &Sh) {
-  std::unique_ptr<Session> Sess;
-  unsigned Used = 0;
-  bool Dirty = false;
-  for (;;) {
-    Job J;
-    {
-      std::unique_lock<std::mutex> Lock(Sh.Mu);
-      Sh.Cv.wait(Lock, [&] { return Sh.Stop || !Sh.Jobs.empty(); });
-      if (Sh.Jobs.empty())
-        return; // Stop seen and the queue is drained.
-      J = std::move(Sh.Jobs.front());
-      Sh.Jobs.pop_front();
-    }
-
-    // Per-request isolation: the request's own budget knobs plus the
-    // service shutdown token; never the caller's recorder or heartbeat.
-    CheckConfig Cfg = J.Req->Cfg;
-    gov::RunBudget B = Cfg.Common.Budget;
-    B.Cancel = &Cancel;
-    B.TripAtTick = J.Req->InjectTripTick;
-    B.TripReason = J.Req->InjectTripReason;
-    Cfg.Common.Budget = B;
-    Cfg.Common.Recorder = nullptr;
-    Cfg.Progress = nullptr;
-    Cfg.M = CheckConfig::Mode::Assertions; // runRequest flips for races.
-
-    if (!Sess || Dirty || Used >= SessionReuseLimit) {
-      Sess = std::make_unique<Session>(Cfg);
-      Used = 0;
-      Dirty = false;
-    } else {
-      Sess->config() = Cfg;
-      Sess->context().Diags.clear(); // A warm session must start clean.
-    }
-    ++Used;
-
-    JobResult R;
-    try {
-      R.Code = runRequest(*Sess, *J.Req, R.Core, R.Cacheable);
-      // Rejections leave error diagnostics behind; rebuild next time
-      // rather than trusting clear() to undo every side effect.
-      Dirty = Sess->hasErrors();
-    } catch (const std::exception &E) {
-      // Fault isolation: the request degrades to a bound response; the
-      // worker (and its queue) survives. The session is suspect now.
-      R.Code = cli::ExitBoundExceeded;
-      R.Cacheable = false;
-      R.Core = renderCore(R.Code, "bound exceeded",
-                          gov::getBoundReasonName(gov::BoundReason::Fault),
-                          E.what(), "", "", nullptr);
-      Dirty = true;
-    } catch (...) {
-      R.Code = cli::ExitBoundExceeded;
-      R.Cacheable = false;
-      R.Core = renderCore(R.Code, "bound exceeded",
-                          gov::getBoundReasonName(gov::BoundReason::Fault),
-                          "unknown exception", "", "", nullptr);
-      Dirty = true;
-    }
-    J.Promise.set_value(std::move(R));
   }
 }
 
@@ -259,23 +160,39 @@ Reply CheckService::check(const Request &R) {
     }
   }
 
-  // Shard by request key so identical requests land on the same warm
-  // session and a mixed batch spreads across the pool.
-  Shard &Sh = *Shards[stableHash(Key) % Shards.size()];
-  std::future<JobResult> Fut;
-  {
-    std::lock_guard<std::mutex> Lock(Sh.Mu);
-    Sh.Jobs.emplace_back();
-    Sh.Jobs.back().Req = &R;
-    Fut = Sh.Jobs.back().Promise.get_future();
-  }
-  Sh.Cv.notify_one();
-  JobResult JR = Fut.get();
+  // Per-request isolation: the request's own budget knobs plus the
+  // service shutdown token; never the caller's recorder or heartbeat.
+  CheckConfig Cfg = R.Cfg;
+  gov::RunBudget B = Cfg.Common.Budget;
+  B.Cancel = &Cancel;
+  B.TripAtTick = R.InjectTripTick;
+  B.TripReason = R.InjectTripReason;
+  Cfg.Common.Budget = B;
+  Cfg.Common.Recorder = nullptr;
+  Cfg.Progress = nullptr;
+  Cfg.M = CheckConfig::Mode::Assertions; // runRequest flips for races.
 
-  Out.Code = JR.Code;
-  Out.Core = std::move(JR.Core);
+  bool Cacheable = false;
+  {
+    Slots.acquire();
+    struct SlotGuard {
+      std::counting_semaphore<> &S;
+      ~SlotGuard() { S.release(); }
+    } Guard{Slots};
+    try {
+      Session S(Cfg);
+      Out.Code = runRequest(S, R, Out.Core, Cacheable);
+    } catch (const std::exception &E) {
+      // Fault isolation: the request degrades to a bound response and
+      // the daemon goes on serving.
+      Out.Code = renderFault(E.what(), Out.Core, Cacheable);
+    } catch (...) {
+      Out.Code = renderFault("unknown exception", Out.Core, Cacheable);
+    }
+  }
+
   Out.Cache = Bypass ? CacheDisposition::Bypass : CacheDisposition::Miss;
-  if (!Bypass && JR.Cacheable)
+  if (!Bypass && Cacheable)
     Cache.insert(Key, Out.Core);
   return Out;
 }
@@ -302,7 +219,7 @@ std::string CheckService::statsJson() const {
   Out += ", \"cache_bytes\": ";
   Out += std::to_string(Cache.bytes());
   Out += ", \"workers\": ";
-  Out += std::to_string(Shards.size());
+  Out += std::to_string(Workers);
   Out += '}';
   return Out;
 }

@@ -1,22 +1,22 @@
-//===- Service.h - The warm-session check service ---------------*- C++ -*-===//
+//===- Service.h - The kissd check service ----------------------*- C++ -*-===//
 //
 // Part of the KISS reproduction of Qadeer & Wu, PLDI 2004.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The socket-free heart of kissd: a pool of worker threads, each holding
-/// a warm kiss::Session, fed by a sharded job queue and fronted by the
-/// persistent result cache. The Server (Server.h) is framing and
+/// The socket-free heart of kissd: the persistent result cache in front
+/// of plain sequential checks. A miss runs on the calling thread, in a
+/// fresh kiss::Session, once it holds one of Workers slots, so at most
+/// Workers checks explore at once. The Server (Server.h) is framing and
 /// connection plumbing on top of this class; tests drive it directly, so
-/// every dispatch/cache/budget behaviour is checkable in-process without
-/// sockets.
+/// every cache/budget behaviour is checkable in-process without sockets.
 ///
 /// Determinism contract: a check's *result core* — code, verdict, trace,
 /// diagnostics, and the embedded schema-v5 record rendered with zeroed
 /// timings — depends only on (name, source, field, cache-relevant
 /// config). runRequest() is the single implementation of that mapping;
-/// workers, tests, and any future embedder call the same function, so a
+/// the service, tests, and any other embedder call the same function, so a
 /// cached core and a freshly computed one can never drift.
 ///
 /// Caching policy: only deterministic outcomes are cached — verdicts
@@ -29,9 +29,7 @@
 /// Isolation contract: each request runs under its own gov::RunBudget
 /// (the request's deadline/memory knobs plus the service's shutdown
 /// token), so a tripping or throwing request degrades to a bound/error
-/// response without killing its worker. A worker's Session is reused
-/// while it stays clean and is rebuilt after any diagnostic error or
-/// after SessionReuseLimit requests, bounding table growth.
+/// response without harming the daemon; no session outlives its request.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,13 +40,8 @@
 #include "service/ResultCache.h"
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
-#include <memory>
-#include <mutex>
+#include <semaphore>
 #include <string>
-#include <thread>
-#include <vector>
 
 namespace kiss::service {
 
@@ -67,6 +60,7 @@ int runRequest(Session &S, const Request &R, std::string &Core,
 std::string requestCacheKey(const Request &R);
 
 struct ServiceOptions {
+  /// How many checks may explore at once (0 means 1).
   unsigned Workers = 1;
   /// Snapshot path; loaded at construction, written by saveCache().
   /// Empty = in-memory only.
@@ -83,13 +77,12 @@ struct Reply {
 class CheckService {
 public:
   explicit CheckService(ServiceOptions O);
-  ~CheckService(); ///< Drains queued jobs, then joins the workers.
 
   CheckService(const CheckService &) = delete;
   CheckService &operator=(const CheckService &) = delete;
 
-  /// Serves one check request: cache lookup, or dispatch to the worker
-  /// keyed by the request hash and wait. Thread-safe; blocks until the
+  /// Serves one check request: cache lookup, or a check on the calling
+  /// thread once a worker slot is free. Thread-safe; blocks until the
   /// result is ready.
   Reply check(const Request &R);
 
@@ -104,24 +97,19 @@ public:
   /// Service counters as a JSON object (the "stats" response).
   std::string statsJson() const;
 
-  unsigned workers() const { return static_cast<unsigned>(Shards.size()); }
+  unsigned workers() const { return Workers; }
   const ResultCache &cache() const { return Cache; }
   /// If nonzero on construction, load() failed; the daemon should report
   /// and exit instead of silently running cold.
   const std::string &cacheLoadError() const { return CacheLoadError; }
 
 private:
-  struct Job;
-  struct Shard;
-
-  void workerLoop(Shard &S);
-
+  unsigned Workers;
+  std::counting_semaphore<> Slots;
   gov::CancellationToken Cancel;
   ResultCache Cache;
   std::string CachePath;
   std::string CacheLoadError;
-  std::vector<std::unique_ptr<Shard>> Shards;
-  std::vector<std::thread> Threads;
   std::atomic<uint64_t> Requests{0};
   std::atomic<uint64_t> Bypasses{0};
 };

@@ -6,9 +6,10 @@
 ///
 /// \file
 /// Stable hashes. FNV-1a (StableHasher, stableHash) is deterministic across
-/// runs and hosts (unlike std::hash for some types): kissd shards requests
-/// by it. keyHash is the visited-set hash of the explicit-state engines,
-/// built so that a patched key is rehashed in O(patched words).
+/// runs and hosts (unlike std::hash for some types): bebop's path-edge
+/// index hashes by it. keyHash is the visited-set hash of the
+/// explicit-state engines, built so that a patched key is rehashed in
+/// O(patched words).
 ///
 //===----------------------------------------------------------------------===//
 

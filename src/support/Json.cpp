@@ -397,6 +397,12 @@ std::string quote(std::string_view S) {
     case '\\':
       Out += "\\\\";
       break;
+    case '\b':
+      Out += "\\b";
+      break;
+    case '\f':
+      Out += "\\f";
+      break;
     case '\n':
       Out += "\\n";
       break;

@@ -100,7 +100,8 @@ bool parse(std::string_view Text, std::string_view Name, Value &Out,
            std::string &Error);
 
 /// Renders \p S as a JSON string literal, quotes included (the escaping
-/// twin of the parser; matches telemetry::escapeJson's output format).
+/// twin of the parser): quote, backslash and the \b \f \n \r \t short
+/// forms; other control bytes as \u00XX; every other byte verbatim.
 std::string quote(std::string_view S);
 
 } // namespace kiss::json

@@ -6,51 +6,14 @@
 
 #include "telemetry/Telemetry.h"
 
+#include "support/Json.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cinttypes>
 
 using namespace kiss;
 using namespace kiss::telemetry;
-
-std::string telemetry::escapeJson(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\b':
-      Out += "\\b";
-      break;
-    case '\f':
-      Out += "\\f";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(C);
-      }
-    }
-  }
-  return Out;
-}
 
 //===----------------------------------------------------------------------===//
 // RunRecorder
@@ -164,9 +127,8 @@ void appendCounters(std::string &Out,
   for (size_t I = 0; I != Counters.size(); ++I) {
     if (I)
       Out += ", ";
-    Out += '"';
-    Out += escapeJson(Counters[I].first);
-    Out += "\": ";
+    Out += json::quote(Counters[I].first);
+    Out += ": ";
     appendU64(Out, Counters[I].second);
   }
   Out += '}';
@@ -177,11 +139,11 @@ void appendCounters(std::string &Out,
 std::string telemetry::renderCheckRecord(const CheckRecord &C,
                                          const ReportOptions &Opts) {
   std::string Out;
-  Out += "{\"name\": \"";
-  Out += escapeJson(C.Name);
-  Out += "\", \"outcome\": \"";
-  Out += escapeJson(C.Outcome);
-  Out += "\", \"wall_ms\": ";
+  Out += "{\"name\": ";
+  Out += json::quote(C.Name);
+  Out += ", \"outcome\": ";
+  Out += json::quote(C.Outcome);
+  Out += ", \"wall_ms\": ";
   appendMs(Out, C.WallMs, Opts.ZeroTimings);
   Out += ", \"states\": ";
   appendU64(Out, C.States);
@@ -207,11 +169,11 @@ std::string telemetry::renderCheckRecord(const CheckRecord &C,
   appendU64(Out, C.PathEdges);
   Out += ", \"summary_edges\": ";
   appendU64(Out, C.SummaryEdges);
-  Out += ", \"exec_engine\": \"";
-  Out += escapeJson(C.ExecEngine);
-  Out += "\", \"engine\": \"";
-  Out += escapeJson(C.Engine);
-  Out += "\", \"states_per_sec\": ";
+  Out += ", \"exec_engine\": ";
+  Out += json::quote(C.ExecEngine);
+  Out += ", \"engine\": ";
+  Out += json::quote(C.Engine);
+  Out += ", \"states_per_sec\": ";
   appendU64(Out, Opts.ZeroTimings || C.WallMs <= 0 ? 0
                  : static_cast<uint64_t>(C.States * 1000.0 / C.WallMs));
   Out += ", \"series\": [";
@@ -242,9 +204,9 @@ std::string telemetry::renderCheckRecord(const CheckRecord &C,
     const ProfileRow &P = C.Profile[J];
     if (J)
       Out += ", ";
-    Out += "{\"file\": \"";
-    Out += escapeJson(P.File);
-    Out += "\", \"line\": ";
+    Out += "{\"file\": ";
+    Out += json::quote(P.File);
+    Out += ", \"line\": ";
     appendU64(Out, P.Line);
     Out += ", \"states\": ";
     appendU64(Out, P.States);
@@ -254,9 +216,9 @@ std::string telemetry::renderCheckRecord(const CheckRecord &C,
     appendU64(Out, P.DedupHits);
     Out += '}';
   }
-  Out += "], \"bound_reason\": \"";
-  Out += escapeJson(C.BoundReason);
-  Out += "\"}";
+  Out += "], \"bound_reason\": ";
+  Out += json::quote(C.BoundReason);
+  Out += "}";
   return Out;
 }
 
@@ -276,11 +238,9 @@ std::string telemetry::renderReport(const RunRecorder &R,
   for (size_t I = 0; I != Meta.size(); ++I) {
     if (I)
       Out += ", ";
-    Out += '"';
-    Out += escapeJson(Meta[I].first);
-    Out += "\": \"";
-    Out += escapeJson(Meta[I].second);
-    Out += '"';
+    Out += json::quote(Meta[I].first);
+    Out += ": ";
+    Out += json::quote(Meta[I].second);
   }
   Out += "},\n";
 
@@ -292,9 +252,9 @@ std::string telemetry::renderReport(const RunRecorder &R,
   for (size_t I = 0; I != R.Phases.size(); ++I) {
     const PhaseRecord &P = R.Phases[I];
     Out += I ? ",\n    " : "\n    ";
-    Out += "{\"name\": \"";
-    Out += escapeJson(P.Name);
-    Out += "\", \"wall_ms\": ";
+    Out += "{\"name\": ";
+    Out += json::quote(P.Name);
+    Out += ", \"wall_ms\": ";
     appendMs(Out, P.WallMs, Opts.ZeroTimings);
     Out += ", \"counters\": ";
     appendCounters(Out, P.Counters);
@@ -357,9 +317,9 @@ std::string telemetry::renderTrace(const RunRecorder &R) {
          "\"thread_name\", \"args\": {\"name\": \"checks\"}}";
 
   for (const PhaseRecord &P : R.phases()) {
-    Out += ",\n{\"ph\": \"X\", \"pid\": 1, \"tid\": 1, \"name\": \"";
-    Out += escapeJson(P.Name);
-    Out += "\", \"ts\": ";
+    Out += ",\n{\"ph\": \"X\", \"pid\": 1, \"tid\": 1, \"name\": ";
+    Out += json::quote(P.Name);
+    Out += ", \"ts\": ";
     appendUs(Out, P.StartMs);
     Out += ", \"dur\": ";
     appendUs(Out, P.WallMs);
@@ -369,25 +329,25 @@ std::string telemetry::renderTrace(const RunRecorder &R) {
   }
 
   for (const CheckRecord &C : R.checks()) {
-    Out += ",\n{\"ph\": \"B\", \"pid\": 1, \"tid\": 2, \"name\": \"";
-    Out += escapeJson(C.Name);
-    Out += "\", \"ts\": ";
+    Out += ",\n{\"ph\": \"B\", \"pid\": 1, \"tid\": 2, \"name\": ";
+    Out += json::quote(C.Name);
+    Out += ", \"ts\": ";
     appendUs(Out, C.StartMs);
-    Out += ", \"args\": {\"outcome\": \"";
-    Out += escapeJson(C.Outcome);
-    Out += "\", \"states\": ";
+    Out += ", \"args\": {\"outcome\": ";
+    Out += json::quote(C.Outcome);
+    Out += ", \"states\": ";
     appendU64(Out, C.States);
     Out += ", \"transitions\": ";
     appendU64(Out, C.Transitions);
-    Out += ", \"bound_reason\": \"";
-    Out += escapeJson(C.BoundReason);
-    Out += "\"}}";
+    Out += ", \"bound_reason\": ";
+    Out += json::quote(C.BoundReason);
+    Out += "}}";
     // Counter tracks from the sampled series; one track set per check so
     // differently-named checks do not merge in the viewer.
     for (const SeriesPoint &S : C.Series) {
-      Out += ",\n{\"ph\": \"C\", \"pid\": 1, \"name\": \"";
-      Out += escapeJson(C.Name);
-      Out += "\", \"ts\": ";
+      Out += ",\n{\"ph\": \"C\", \"pid\": 1, \"name\": ";
+      Out += json::quote(C.Name);
+      Out += ", \"ts\": ";
       appendUs(Out, C.StartMs + S.WallMs);
       Out += ", \"args\": {\"states\": ";
       appendU64(Out, S.States);

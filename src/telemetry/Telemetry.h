@@ -40,10 +40,6 @@
 
 namespace kiss::telemetry {
 
-/// Escapes \p S for inclusion in a JSON string literal (quotes, backslash,
-/// and control characters; other bytes pass through unchanged).
-std::string escapeJson(std::string_view S);
-
 /// One completed (or still open) phase span.
 struct PhaseRecord {
   std::string Name; ///< Full slash-joined path ("transform/alias").

@@ -95,12 +95,33 @@ TEST(Json, DepthBounded) {
   EXPECT_NE(E.find("nesting too deep"), std::string::npos) << E;
 }
 
+TEST(Json, QuoteEscapesQuotesBackslashesAndControls) {
+  EXPECT_EQ(json::quote("plain text"), "\"plain text\"");
+  EXPECT_EQ(json::quote("say \"hi\""), "\"say \\\"hi\\\"\"");
+  EXPECT_EQ(json::quote("C:\\path\\file"), "\"C:\\\\path\\\\file\"");
+  EXPECT_EQ(json::quote("a\nb\tc\rd"), "\"a\\nb\\tc\\rd\"");
+  EXPECT_EQ(json::quote("\b\f"), "\"\\b\\f\"");
+  // Control characters without a short escape get the \u00xx form.
+  EXPECT_EQ(json::quote(std::string_view("\x01\x1f", 2)),
+            "\"\\u0001\\u001f\"");
+  // NUL must not truncate the string.
+  EXPECT_EQ(json::quote(std::string_view("a\0b", 3)), "\"a\\u0000b\"");
+  // Bytes >= 0x20 (including UTF-8 continuation bytes) pass through.
+  EXPECT_EQ(json::quote("caf\xc3\xa9"), "\"caf\xc3\xa9\"");
+}
+
 TEST(Json, QuoteRoundTrips) {
-  std::string Hostile = "a\"b\\c\nd\te\x01";
-  json::Value V;
-  std::string Error;
-  ASSERT_TRUE(json::parse(json::quote(Hostile), "q", V, Error)) << Error;
-  EXPECT_EQ(V.asString(), Hostile);
+  std::string EveryControlByte;
+  for (int C = 0; C != 0x20; ++C)
+    EveryControlByte.push_back(static_cast<char>(C));
+  for (const std::string &Hostile :
+       {std::string("a\"b\\c\nd\te\x01"),
+        EveryControlByte + "\"\\/ caf\xc3\xa9"}) {
+    json::Value V;
+    std::string Error;
+    ASSERT_TRUE(json::parse(json::quote(Hostile), "q", V, Error)) << Error;
+    EXPECT_EQ(V.asString(), Hostile);
+  }
 }
 
 } // namespace

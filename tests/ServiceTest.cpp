@@ -9,10 +9,11 @@
 /// (parse/render round trips, versioning, strict unknown-key rejection),
 /// the persistent result cache (each source stored once, keys split at
 /// the source marker, snapshot round trip, truncation tolerance),
-/// CheckService itself — dispatch, the caching policy, injected budget
-/// trips, shutdown cancellation, and the determinism contract that a
-/// warm pooled session answers with bytes identical to a fresh standalone
-/// one — and the server's joining of finished connection threads.
+/// CheckService itself — the caching policy, injected budget trips,
+/// shutdown cancellation, concurrent callers, and the determinism
+/// contract that a long-lived service answers with bytes identical to a
+/// fresh standalone Session — and the server's joining of finished
+/// connection threads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +35,7 @@
 #include <string>
 #include <thread>
 #include <unistd.h>
+#include <vector>
 
 using namespace kiss;
 using namespace kiss::service;
@@ -431,7 +433,7 @@ TEST(CheckService, CompileFailureRejectsAndCaches) {
   EXPECT_EQ(coreMember(First.Core, "verdict"), "rejected");
   EXPECT_FALSE(coreMember(First.Core, "diagnostics").empty());
   // Rejections are deterministic, so the repeat replays from the cache —
-  // and the worker behind it survived the bad program.
+  // and the service survived the bad program.
   Reply Second = Svc.check(Bad);
   EXPECT_EQ(Second.Cache, CacheDisposition::Hit);
   EXPECT_EQ(Second.Core, First.Core);
@@ -455,8 +457,8 @@ TEST(CheckService, BatchWithRepeatsHitsDeterministically) {
 }
 
 TEST(CheckService, HitCountersInvariantAcrossWorkerCounts) {
-  // The cache sits in front of the pool, so the hit/miss ledger of a
-  // fixed request sequence cannot depend on how many workers serve it.
+  // The cache sits in front of the checks, so the hit/miss ledger of a
+  // fixed request sequence cannot depend on how many may run at once.
   for (unsigned Workers : {1u, 4u}) {
     CheckService Svc({Workers, ""});
     for (unsigned Round = 0; Round != 3; ++Round)
@@ -478,7 +480,7 @@ TEST(CheckService, InjectedTripDegradesWithoutCaching) {
   EXPECT_EQ(coreMember(Tripped.Core, "bound_reason"), "memory");
   // The sabotaged run must not shadow the real result: the same program
   // without the trip still computes (a miss, not a poisoned hit) and the
-  // worker that served the trip is still alive.
+  // service still serves.
   R.InjectTripTick = 0;
   Reply Clean = Svc.check(R);
   EXPECT_EQ(Clean.Code, 0);
@@ -521,9 +523,9 @@ TEST(CheckService, ShutdownTokenTripsInFlightAsCancelled) {
 }
 
 TEST(CheckService, WarmSessionMatchesFreshSessionByteForByte) {
-  // The determinism contract: after serving unrelated programs (so the
-  // pooled session is warm and reused), a request's core must equal what
-  // a fresh standalone Session computes for it.
+  // The determinism contract: after serving unrelated programs, a
+  // request's core must equal what a fresh standalone Session computes
+  // for it.
   CheckService Svc({1, ""});
   for (unsigned I = 0; I != 5; ++I)
     EXPECT_EQ(Svc.check(makeIndexed(I)).Code, 0);
@@ -538,6 +540,71 @@ TEST(CheckService, WarmSessionMatchesFreshSessionByteForByte) {
     int DirectCode = runRequest(Fresh, R, DirectCore, Cacheable);
     EXPECT_EQ(Warm.Code, DirectCode);
     EXPECT_EQ(Warm.Core, DirectCore);
+  }
+}
+
+TEST(CheckService, ConcurrentCallersMatchSingleThreadedRun) {
+  // Four caller threads interleave hits (keys warmed beforehand), misses
+  // (keys only their own thread asks for, so the first ask is the one
+  // miss), and no_cache bypasses. Every core must equal what one thread
+  // computes for the same request, and the ledger must match.
+  constexpr unsigned Callers = 4, PerCaller = 6, Shared = 3;
+  auto warm = [](CheckService &Svc) {
+    for (unsigned I = 0; I != Shared; ++I)
+      EXPECT_EQ(Svc.check(makeIndexed(I)).Cache, CacheDisposition::Miss);
+  };
+  std::vector<std::vector<Request>> Plans(Callers);
+  for (unsigned T = 0; T != Callers; ++T) {
+    for (unsigned I = 0; I != PerCaller; ++I) {
+      Request Own = makeIndexed(100 + T * PerCaller + I);
+      Request Race = makeCheck(RacySource, "racy" + std::to_string(T));
+      Race.Field = "g";
+      Request Fresh = makeCheck(BuggySource, "fresh.kiss");
+      Fresh.NoCache = true;
+      for (const Request &R :
+           {Own, makeIndexed(I % Shared), Fresh, Own, Race})
+        Plans[T].push_back(R);
+    }
+  }
+
+  CheckService Ref({1, ""});
+  warm(Ref);
+  std::vector<std::vector<Reply>> Want(Callers);
+  for (unsigned T = 0; T != Callers; ++T)
+    for (const Request &R : Plans[T])
+      Want[T].push_back(Ref.check(R));
+  // Each caller's own programs and its race check (one name per caller)
+  // miss once and hit afterwards; the warmed keys always hit.
+  EXPECT_EQ(Ref.cache().misses(), Shared + Callers * (PerCaller + 1));
+  EXPECT_EQ(Ref.cache().hits(), Callers * (3 * PerCaller - 1));
+  EXPECT_EQ(statU64(Ref, "cache_bypasses"), Callers * PerCaller);
+
+  for (unsigned Workers : {1u, 2u}) {
+    SCOPED_TRACE(std::to_string(Workers) + " workers");
+    CheckService Svc({Workers, ""});
+    warm(Svc);
+    std::vector<std::vector<Reply>> Got(Callers);
+    std::vector<std::thread> Threads;
+    for (unsigned T = 0; T != Callers; ++T)
+      Threads.emplace_back([&, T] {
+        for (const Request &R : Plans[T])
+          Got[T].push_back(Svc.check(R));
+      });
+    for (std::thread &Th : Threads)
+      Th.join();
+    for (unsigned T = 0; T != Callers; ++T) {
+      ASSERT_EQ(Got[T].size(), Want[T].size());
+      for (size_t I = 0; I != Got[T].size(); ++I) {
+        EXPECT_EQ(Got[T][I].Code, Want[T][I].Code) << T << "/" << I;
+        EXPECT_EQ(Got[T][I].Core, Want[T][I].Core) << T << "/" << I;
+      }
+    }
+    EXPECT_EQ(Svc.cache().misses(), Ref.cache().misses());
+    EXPECT_EQ(Svc.cache().hits(), Ref.cache().hits());
+    EXPECT_EQ(statU64(Svc, "cache_bypasses"),
+              statU64(Ref, "cache_bypasses"));
+    EXPECT_EQ(statU64(Svc, "requests"), statU64(Ref, "requests"));
+    EXPECT_EQ(statU64(Svc, "workers"), Workers);
   }
 }
 

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The telemetry contract: JSON escaping, span nesting, counter
+/// The telemetry contract: escaped report strings, span nesting, counter
 /// aggregation, the report envelope (schema golden test on a real .kiss
 /// run), and the determinism guarantee that reports are byte-identical
 /// modulo timings.
@@ -29,24 +29,6 @@ using namespace kiss::telemetry;
 using kiss::test::compile;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// escapeJson
-//===----------------------------------------------------------------------===//
-
-TEST(TelemetryTest, EscapeJsonHandlesQuotesBackslashesAndControls) {
-  EXPECT_EQ(escapeJson("plain text"), "plain text");
-  EXPECT_EQ(escapeJson("say \"hi\""), "say \\\"hi\\\"");
-  EXPECT_EQ(escapeJson("C:\\path\\file"), "C:\\\\path\\\\file");
-  EXPECT_EQ(escapeJson("a\nb\tc\rd"), "a\\nb\\tc\\rd");
-  EXPECT_EQ(escapeJson(std::string("\b\f")), "\\b\\f");
-  // Control characters without a short escape get the \u00xx form.
-  EXPECT_EQ(escapeJson(std::string_view("\x01\x1f", 2)), "\\u0001\\u001f");
-  // NUL must not truncate the string.
-  EXPECT_EQ(escapeJson(std::string_view("a\0b", 3)), "a\\u0000b");
-  // Bytes >= 0x20 (including UTF-8 continuation bytes) pass through.
-  EXPECT_EQ(escapeJson("caf\xc3\xa9"), "caf\xc3\xa9");
-}
 
 TEST(TelemetryTest, EscapedStringsRoundTripThroughTheReport) {
   RunRecorder Rec;

@@ -5,14 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Checking as a service: a long-lived daemon holding a pool of warm
-/// kiss::Sessions behind the framed request protocol of docs/service.md,
-/// with a persistent result cache that survives restarts.
+/// Checking as a service: a long-lived daemon running sequential checks
+/// behind the framed request protocol of docs/service.md, with a
+/// persistent result cache that survives restarts.
 ///
 ///   kissd --socket=/tmp/kiss.sock                 serve on a Unix socket
 ///   kissd --port=0 --port-file=port.txt           ephemeral TCP port,
 ///                                                 written for clients
-///   kissd --workers=4 --cache=results.bin ...     pool + snapshot
+///   kissd --workers=4 --cache=results.bin ...     4 checks at once +
+///                                                 snapshot
 ///
 /// SIGINT/SIGTERM drain: in-flight checks trip their governors and still
 /// answer (degraded bound responses), idle connections close, the cache
@@ -74,8 +75,8 @@ cli::ArgParser makeParser(DaemonOptions &Opts) {
          "write the resolved TCP port to <path> once listening\n"
          "(atomic rename; the handshake for --port=0)");
   P.flagPositive("workers", Opts.Workers, "<n>",
-                 "size of the warm-session worker pool (default 1);\n"
-                 "requests shard across workers by request hash");
+                 "how many checks may explore at once (default 1);\n"
+                 "each runs on its connection's thread");
   P.flag("cache", Opts.CachePath, "<path>",
          "persistent result cache: load the snapshot at startup,\n"
          "save it on shutdown (see docs/service.md for the\n"
