@@ -18,7 +18,9 @@
 ///
 /// The bench drives CheckService in-process, not through a socket: the
 /// gate measures the cache against the checker, and the framing layer's
-/// microseconds would only add noise.
+/// microseconds would only add noise. --workers=N sets the service's
+/// worker slots and starts N caller threads that split each pass, so up
+/// to N checks really run at once.
 ///
 ///   service_load [--workers=N] [--programs=N] [--rounds=N]
 ///                [--json-out=PATH]
@@ -29,11 +31,13 @@
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace kiss;
@@ -111,41 +115,58 @@ int main(int Argc, char **Argv) {
     Requests.push_back(std::move(R));
   }
 
+  // One pass over \p Order: Workers caller threads take every Workers-th
+  // request each, so up to Workers checks run at once. \returns false
+  // (with a message printed) if a reply is not the \p Want disposition
+  // with a clean verdict.
+  auto RunPass = [&](const std::vector<const service::Request *> &Order,
+                     service::CacheDisposition Want, const char *PassName,
+                     std::vector<double> &Us) {
+    std::vector<std::vector<double>> PerCaller(Workers);
+    std::atomic<bool> Ok{true};
+    std::vector<std::thread> Callers;
+    for (unsigned T = 0; T != Workers; ++T)
+      Callers.emplace_back([&, T] {
+        for (size_t I = T; I < Order.size(); I += Workers) {
+          auto T0 = Clock::now();
+          service::Reply Rep = Svc.check(*Order[I]);
+          PerCaller[T].push_back(
+              std::chrono::duration<double, std::micro>(Clock::now() - T0)
+                  .count());
+          if (Rep.Cache != Want || Rep.Code != 0) {
+            std::fprintf(stderr, "service_load: %s %s: expected a clean %s\n",
+                         PassName, Order[I]->Name.c_str(),
+                         service::getCacheDispositionName(Want));
+            Ok = false;
+          }
+        }
+      });
+    for (std::thread &C : Callers)
+      C.join();
+    for (const std::vector<double> &V : PerCaller)
+      Us.insert(Us.end(), V.begin(), V.end());
+    return Ok.load();
+  };
+
   // Cold pass: every request is new, so every one must miss and run the
   // full compile + check pipeline.
+  std::vector<const service::Request *> ColdOrder, HotOrder;
+  for (const service::Request &R : Requests)
+    ColdOrder.push_back(&R);
   std::vector<double> ColdUs, HotUs;
   auto ColdStart = Clock::now();
-  for (const service::Request &R : Requests) {
-    auto T0 = Clock::now();
-    service::Reply Rep = Svc.check(R);
-    ColdUs.push_back(
-        std::chrono::duration<double, std::micro>(Clock::now() - T0).count());
-    if (Rep.Cache != service::CacheDisposition::Miss || Rep.Code != 0) {
-      std::fprintf(stderr, "service_load: cold %s: expected a clean miss\n",
-                   R.Name.c_str());
-      return 2;
-    }
-  }
+  if (!RunPass(ColdOrder, service::CacheDisposition::Miss, "cold", ColdUs))
+    return 2;
   double ColdMs =
       std::chrono::duration<double, std::milli>(Clock::now() - ColdStart)
           .count();
 
   // Hot rounds: the same requests replay from the cache.
+  for (unsigned Round = 0; Round != Rounds; ++Round)
+    HotOrder.insert(HotOrder.end(), ColdOrder.begin(), ColdOrder.end());
   auto HotStart = Clock::now();
-  for (unsigned Round = 0; Round != Rounds; ++Round) {
-    for (const service::Request &R : Requests) {
-      auto T0 = Clock::now();
-      service::Reply Rep = Svc.check(R);
-      HotUs.push_back(
-          std::chrono::duration<double, std::micro>(Clock::now() - T0)
-              .count());
-      if (Rep.Cache != service::CacheDisposition::Hit || Rep.Code != 0) {
-        std::fprintf(stderr, "service_load: hot %s: expected a hit\n",
-                     R.Name.c_str());
-        return 2;
-      }
-    }
-  }
+  if (!RunPass(HotOrder, service::CacheDisposition::Hit, "hot", HotUs))
+    return 2;
   double HotMs =
       std::chrono::duration<double, std::milli>(Clock::now() - HotStart)
           .count();
@@ -162,7 +183,8 @@ int main(int Argc, char **Argv) {
   Rec.setMeta("workload",
               std::to_string(Programs) + " programs (family k=4 m=4, "
                                          "MAX=1), " +
-                  std::to_string(Rounds) + " hot rounds");
+                  std::to_string(Rounds) + " hot rounds, " +
+                  std::to_string(Workers) + " caller threads");
   Rec.setMeta("workers", std::to_string(Workers));
   Rec.addPhase("cold", ColdMs);
   Rec.addPhase("hot", HotMs);
@@ -198,7 +220,8 @@ int main(int Argc, char **Argv) {
                  static_cast<uint64_t>(percentileUs(HotUs, 0.99)));
   Rec.addCounter("hot_requests_per_sec", static_cast<uint64_t>(HotRps));
 
-  std::printf("service_load: %u workers, %u programs, %u hot rounds\n",
+  std::printf("service_load: %u workers and callers, %u programs, %u hot "
+              "rounds\n",
               Workers, Programs, Rounds);
   std::printf("  cold: mean %8.1f us  p50 %8.1f us  p99 %8.1f us\n",
               meanUs(ColdUs), percentileUs(ColdUs, 0.50),

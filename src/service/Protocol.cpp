@@ -12,6 +12,8 @@
 #include <cerrno>
 #include <cstring>
 #include <poll.h>
+#include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 using namespace kiss;
@@ -230,26 +232,34 @@ std::string service::renderSimpleResponse(std::string_view Kind,
 namespace {
 
 /// Blocking read of exactly \p N bytes in poll slices. \p SawBytes
-/// distinguishes a clean pre-frame EOF from a truncated frame.
+/// distinguishes a clean pre-frame EOF from a truncated frame. With
+/// \p TryFirst, one non-blocking recv takes whatever is already queued
+/// before the first poll (a payload usually arrives with its prefix); a
+/// descriptor that is not a socket answers ENOTSOCK and is polled.
 IoStatus readExact(int Fd, char *Buf, size_t N, bool &SawBytes,
-                   std::string &Error, const gov::CancellationToken *Cancel) {
+                   std::string &Error, const gov::CancellationToken *Cancel,
+                   bool TryFirst = false) {
   size_t Got = 0;
   while (Got != N) {
     if (Cancel && Cancel->isCancelled())
       return IoStatus::Cancelled;
-    pollfd P = {Fd, POLLIN, 0};
-    int Ready = ::poll(&P, 1, /*timeout_ms=*/100);
-    if (Ready < 0) {
-      if (errno == EINTR)
-        continue;
-      Error = std::string("poll: ") + std::strerror(errno);
-      return IoStatus::Error;
+    if (!TryFirst) {
+      pollfd P = {Fd, POLLIN, 0};
+      int Ready = ::poll(&P, 1, /*timeout_ms=*/100);
+      if (Ready < 0) {
+        if (errno == EINTR)
+          continue;
+        Error = std::string("poll: ") + std::strerror(errno);
+        return IoStatus::Error;
+      }
+      if (Ready == 0)
+        continue; // Timeout slice: loop to re-check the cancel token.
     }
-    if (Ready == 0)
-      continue; // Timeout slice: loop to re-check the cancel token.
-    ssize_t K = ::read(Fd, Buf + Got, N - Got);
+    ssize_t K = TryFirst ? ::recv(Fd, Buf + Got, N - Got, MSG_DONTWAIT)
+                         : ::read(Fd, Buf + Got, N - Got);
+    TryFirst = false;
     if (K < 0) {
-      if (errno == EINTR || errno == EAGAIN)
+      if (errno == EINTR || errno == EAGAIN || errno == ENOTSOCK)
         continue;
       Error = std::string("read: ") + std::strerror(errno);
       return IoStatus::Error;
@@ -288,7 +298,8 @@ IoStatus service::readFrame(int Fd, std::string &Payload, std::string &Error,
   Payload.resize(Len);
   if (Len == 0)
     return IoStatus::Ok;
-  S = readExact(Fd, Payload.data(), Len, SawBytes, Error, Cancel);
+  S = readExact(Fd, Payload.data(), Len, SawBytes, Error, Cancel,
+                /*TryFirst=*/true);
   if (S == IoStatus::Eof) {
     Error = "connection closed inside a frame payload";
     return IoStatus::Error;
@@ -308,21 +319,27 @@ bool service::writeFrame(int Fd, std::string_view Payload,
                              static_cast<unsigned char>(Len >> 8),
                              static_cast<unsigned char>(Len >> 16),
                              static_cast<unsigned char>(Len >> 24)};
-  // One frame, two buffers; a helper keeps the partial-write loop shared.
-  auto WriteAll = [&](const char *Buf, size_t N) {
-    size_t Done = 0;
-    while (Done != N) {
-      ssize_t K = ::write(Fd, Buf + Done, N - Done);
-      if (K < 0) {
-        if (errno == EINTR || errno == EAGAIN)
-          continue;
-        Error = std::string("write: ") + std::strerror(errno);
-        return false;
-      }
-      Done += static_cast<size_t>(K);
+  // Prefix and payload leave in one writev, so a frame costs one system
+  // call and one segment; a partial write resumes where it stopped.
+  iovec Iov[2] = {{Prefix, sizeof(Prefix)},
+                  {const_cast<char *>(Payload.data()), Payload.size()}};
+  iovec *Next = Iov;
+  int Left = 2;
+  while (Left) {
+    ssize_t K = ::writev(Fd, Next, Left);
+    if (K < 0) {
+      if (errno == EINTR || errno == EAGAIN)
+        continue;
+      Error = std::string("write: ") + std::strerror(errno);
+      return false;
     }
-    return true;
-  };
-  return WriteAll(reinterpret_cast<const char *>(Prefix), sizeof(Prefix)) &&
-         WriteAll(Payload.data(), Payload.size());
+    size_t Done = static_cast<size_t>(K);
+    for (; Left && Done >= Next->iov_len; ++Next, --Left)
+      Done -= Next->iov_len;
+    if (Left) {
+      Next->iov_base = static_cast<char *>(Next->iov_base) + Done;
+      Next->iov_len -= Done;
+    }
+  }
+  return true;
 }

@@ -116,11 +116,13 @@ enum class IoStatus : uint8_t {
 /// Reads one frame from \p Fd into \p Payload. Waits in 100ms poll slices
 /// so a set \p Cancel token is honoured between frames (and mid-frame) —
 /// but never splits an error from its cause: a short read after a valid
-/// length prefix is IoStatus::Error, not Eof.
+/// length prefix is IoStatus::Error, not Eof. A payload already queued
+/// behind its prefix is taken without a poll.
 IoStatus readFrame(int Fd, std::string &Payload, std::string &Error,
                    const gov::CancellationToken *Cancel = nullptr);
 
-/// Writes one frame (length prefix + payload), retrying partial writes.
+/// Writes one frame (length prefix + payload) in one writev, resuming
+/// after a partial write.
 /// \returns false on I/O failure with \p Error set.
 bool writeFrame(int Fd, std::string_view Payload, std::string &Error);
 

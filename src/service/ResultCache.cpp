@@ -7,6 +7,7 @@
 #include "service/ResultCache.h"
 
 #include "kiss/Config.h"
+#include "support/Json.h"
 
 #include <cstdio>
 #include <cstring>
@@ -47,15 +48,32 @@ std::pair<std::string_view, std::string_view> splitKey(std::string_view Key) {
   return {Key.substr(0, At), Key.substr(At)};
 }
 
+/// The "code" member of a result core (0..3), or -1 if the bytes do not
+/// parse or carry none.
+int parseCoreCode(std::string_view Core) {
+  kiss::json::Value V;
+  std::string Error;
+  if (!kiss::json::parse(Core, "cache", V, Error) || !V.isObject())
+    return -1;
+  const kiss::json::Value *C = V.find("code");
+  uint64_t N = 0;
+  if (!C || !C->asU64(N) || N > 3)
+    return -1;
+  return static_cast<int>(N);
+}
+
 } // namespace
 
-bool ResultCache::lookup(std::string_view Key, std::string &Value) {
+bool ResultCache::lookup(std::string_view Key, std::string &Value,
+                         int *Code) {
   auto [Head, Tail] = splitKey(Key);
   std::lock_guard<std::mutex> Lock(Mu);
   if (auto S = Map.find(Tail); S != Map.end()) {
     if (auto E = S->second.find(Head); E != S->second.end()) {
       ++Hits;
-      Value = E->second;
+      Value = E->second.Core;
+      if (Code)
+        *Code = E->second.Code;
       return true;
     }
   }
@@ -63,25 +81,31 @@ bool ResultCache::lookup(std::string_view Key, std::string &Value) {
   return false;
 }
 
-void ResultCache::insert(std::string_view Key, std::string Value) {
+void ResultCache::insert(std::string_view Key, std::string Value, int Code) {
   std::lock_guard<std::mutex> Lock(Mu);
-  insertLocked(Key, std::move(Value));
+  insertLocked(Key, std::move(Value), Code);
 }
 
-void ResultCache::insertLocked(std::string_view Key, std::string Value) {
+void ResultCache::insert(std::string_view Key, std::string Value) {
+  int Code = parseCoreCode(Value);
+  insert(Key, std::move(Value), Code);
+}
+
+void ResultCache::insertLocked(std::string_view Key, std::string Value,
+                               int Code) {
   auto [Head, Tail] = splitKey(Key);
   auto S = Map.find(Tail);
   if (S == Map.end()) {
-    S = Map.emplace(std::string(Tail), StringMap<std::string>()).first;
+    S = Map.emplace(std::string(Tail), StringMap<Entry>()).first;
     Bytes += Tail.size();
   }
   Bytes += Value.size();
   if (auto E = S->second.find(Head); E != S->second.end()) {
-    Bytes -= E->second.size();
-    E->second = std::move(Value);
+    Bytes -= E->second.Core.size();
+    E->second = {std::move(Value), Code};
     return;
   }
-  S->second.emplace(std::string(Head), std::move(Value));
+  S->second.emplace(std::string(Head), Entry{std::move(Value), Code});
   Bytes += Head.size();
   ++Entries;
 }
@@ -117,7 +141,8 @@ bool ResultCache::load(const std::string &Path, std::string &Error) {
         !In.read(Value.data(), static_cast<std::streamsize>(VLen)))
       break;
     Left -= 8 + KLen + VLen;
-    insertLocked(Key, std::move(Value));
+    int Code = parseCoreCode(Value);
+    insertLocked(Key, std::move(Value), Code);
     Value.clear();
   }
   if (In.bad()) {
@@ -136,12 +161,12 @@ bool ResultCache::save(const std::string &Path, std::string &Error) const {
     std::lock_guard<std::mutex> Lock(Mu);
     Out.write(Magic, MagicLen);
     for (const auto &[Tail, Heads] : Map)
-      for (const auto &[Head, Value] : Heads) {
+      for (const auto &[Head, E] : Heads) {
         writeU32(Out, static_cast<uint32_t>(Head.size() + Tail.size()));
-        writeU32(Out, static_cast<uint32_t>(Value.size()));
+        writeU32(Out, static_cast<uint32_t>(E.Core.size()));
         Out.write(Head.data(), static_cast<std::streamsize>(Head.size()));
         Out.write(Tail.data(), static_cast<std::streamsize>(Tail.size()));
-        Out.write(Value.data(), static_cast<std::streamsize>(Value.size()));
+        Out.write(E.Core.data(), static_cast<std::streamsize>(E.Core.size()));
       }
     if (!Out.flush()) {
       Error = Tmp + ": write failed";

@@ -46,11 +46,18 @@ namespace kiss::service {
 
 class ResultCache {
 public:
-  /// Looks up \p Key, copying the cached core into \p Value on a hit.
-  /// Counts the probe as a hit or miss.
-  bool lookup(std::string_view Key, std::string &Value);
+  /// Looks up \p Key, copying the cached core into \p Value and, if
+  /// \p Code is given, its exit code into *Code on a hit. Counts the probe
+  /// as a hit or miss. The code is stored with the entry; it is -1 for a
+  /// core without a usable "code" member (a corrupt snapshot entry), which
+  /// callers answer as a miss.
+  bool lookup(std::string_view Key, std::string &Value, int *Code = nullptr);
 
-  /// Inserts (or overwrites — same key means same bytes) one entry.
+  /// Inserts (or overwrites — same key means same bytes) one entry: a
+  /// core and the exit code it carries.
+  void insert(std::string_view Key, std::string Value, int Code);
+  /// Inserts a core whose exit code is read from its "code" member, as
+  /// load() reads every snapshot record.
   void insert(std::string_view Key, std::string Value);
 
   /// Loads a snapshot file over the current contents. A missing file is
@@ -84,11 +91,17 @@ private:
   using StringMap =
       std::unordered_map<std::string, V, StringHash, std::equal_to<>>;
 
-  void insertLocked(std::string_view Key, std::string Value);
+  /// One cached result: the core bytes and the exit code they carry.
+  struct Entry {
+    std::string Core;
+    int Code;
+  };
+
+  void insertLocked(std::string_view Key, std::string Value, int Code);
 
   mutable std::mutex Mu;
-  /// Source tail -> key head -> core.
-  StringMap<StringMap<std::string>> Map;
+  /// Source tail -> key head -> entry.
+  StringMap<StringMap<Entry>> Map;
   uint64_t Entries = 0;
   uint64_t Bytes = 0;
   uint64_t Hits = 0;

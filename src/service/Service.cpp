@@ -44,21 +44,6 @@ std::string renderCore(int Code, std::string_view Verdict,
   return Out;
 }
 
-/// Extracts the "code" member of a cached core. \returns false if the
-/// bytes do not parse — a corrupt snapshot entry, treated as a miss.
-bool parseCoreCode(const std::string &Core, int &Code) {
-  json::Value V;
-  std::string Error;
-  if (!json::parse(Core, "cache", V, Error) || !V.isObject())
-    return false;
-  const json::Value *C = V.find("code");
-  uint64_t N = 0;
-  if (!C || !C->asU64(N) || N > 3)
-    return false;
-  Code = static_cast<int>(N);
-  return true;
-}
-
 /// Renders the uncached code-3 "fault" core of a request whose check
 /// threw.
 int renderFault(std::string_view Message, std::string &Core,
@@ -152,8 +137,12 @@ Reply CheckService::check(const Request &R) {
   if (Bypass) {
     Bypasses.fetch_add(1, std::memory_order_relaxed);
   } else {
+    // A core without a usable code (a corrupt snapshot entry) is
+    // recomputed and overwritten.
     std::string Cached;
-    if (Cache.lookup(Key, Cached) && parseCoreCode(Cached, Out.Code)) {
+    int Code = -1;
+    if (Cache.lookup(Key, Cached, &Code) && Code >= 0) {
+      Out.Code = Code;
       Out.Cache = CacheDisposition::Hit;
       Out.Core = std::move(Cached);
       return Out;
@@ -193,7 +182,7 @@ Reply CheckService::check(const Request &R) {
 
   Out.Cache = Bypass ? CacheDisposition::Bypass : CacheDisposition::Miss;
   if (!Bypass && Cacheable)
-    Cache.insert(Key, Out.Core);
+    Cache.insert(Key, Out.Core, Out.Code);
   return Out;
 }
 

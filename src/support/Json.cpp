@@ -91,6 +91,12 @@ private:
   bool eof() const { return Pos >= Text.size(); }
   char peek() const { return Text[Pos]; }
 
+  /// A string byte copied as is: not a quote, a backslash or a control
+  /// byte (UTF-8 bytes are plain).
+  static bool isPlain(char C) {
+    return static_cast<unsigned char>(C) >= 0x20 && C != '"' && C != '\\';
+  }
+
   char advance() {
     char C = Text[Pos++];
     if (C == '\n') {
@@ -210,6 +216,14 @@ private:
       return false;
     Out.clear();
     while (true) {
+      // A run of plain bytes goes over in one append. It holds no newline,
+      // so the column moves by the run's length.
+      size_t End = Pos;
+      while (End != Text.size() && isPlain(Text[End]))
+        ++End;
+      Out.append(Text.substr(Pos, End - Pos));
+      Col += static_cast<uint32_t>(End - Pos);
+      Pos = End;
       if (eof()) {
         setError("unterminated string");
         return false;
@@ -217,13 +231,9 @@ private:
       char C = advance();
       if (C == '"')
         return true;
-      if (static_cast<unsigned char>(C) < 0x20) {
+      if (C != '\\') {
         setError("unescaped control character in string");
         return false;
-      }
-      if (C != '\\') {
-        Out.push_back(C);
-        continue;
       }
       if (eof()) {
         setError("unterminated string");

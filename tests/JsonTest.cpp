@@ -15,6 +15,8 @@
 
 #include "gtest/gtest.h"
 
+#include <random>
+
 using namespace kiss;
 
 namespace {
@@ -88,6 +90,57 @@ TEST(Json, ErrorsAreLocated) {
   EXPECT_EQ(parseErr("\"\\q\""), "t.json:1:4: invalid escape character");
 }
 
+TEST(Json, ErrorsAfterLongStringRunsAreLocated) {
+  // A string's plain bytes are scanned as runs; every error position
+  // must still count each byte as one column.
+  const std::string Run(300, 'a');
+  EXPECT_EQ(parseErr("\"" + Run + "\x01\""),
+            "t.json:1:303: unescaped control character in string");
+  // A raw newline is the control byte that also starts a line.
+  EXPECT_EQ(parseErr("\"" + Run + "\n\""),
+            "t.json:2:1: unescaped control character in string");
+  EXPECT_EQ(parseErr("\"" + Run + "\\q\""),
+            "t.json:1:304: invalid escape character");
+  EXPECT_EQ(parseErr("\"" + Run + "\\u00g0\""),
+            "t.json:1:307: invalid hex digit in \\u escape");
+  EXPECT_EQ(parseErr("\"" + Run + "\\u00e9\""),
+            "t.json:1:308: non-ASCII \\u escape unsupported (use raw UTF-8)");
+  EXPECT_EQ(parseErr("\"" + Run), "t.json:1:302: unterminated string");
+  EXPECT_EQ(parseErr("\"" + Run + "\\"), "t.json:1:303: unterminated string");
+  EXPECT_EQ(parseErr("\"" + Run + "\\u00"),
+            "t.json:1:306: unterminated \\u escape");
+  // Runs on either side of escapes, and UTF-8 bytes (one column each).
+  EXPECT_EQ(parseErr("[\n\n \"" + Run + "\\n" + Run + "caf\xc3\xa9\" x]"),
+            "t.json:3:612: expected ',' or ']'");
+}
+
+TEST(Json, PositionsAfterLongStrings) {
+  const std::string Run(1000, 'x');
+  json::Value V = parseOk("{\"k\": \"" + Run + "\", \"v\": 7,\n  \"" + Run +
+                          "\\t\\u0041caf\xc3\xa9\": [\"" + Run +
+                          "\", true]}");
+  ASSERT_TRUE(V.isObject());
+  ASSERT_EQ(V.members().size(), 3u);
+  const json::Member &K = V.members()[0], &Num = V.members()[1],
+                     &Long = V.members()[2];
+  EXPECT_EQ(V.memberValue(K).asString(), Run);
+  EXPECT_EQ(V.memberValue(K).line(), 1u);
+  EXPECT_EQ(V.memberValue(K).col(), 7u);
+  EXPECT_EQ(Num.KeyLine, 1u);
+  EXPECT_EQ(Num.KeyCol, 1011u);
+  EXPECT_EQ(V.memberValue(Num).col(), 1016u);
+  EXPECT_EQ(Long.Key, Run + "\tAcaf\xc3\xa9");
+  EXPECT_EQ(Long.KeyLine, 2u);
+  EXPECT_EQ(Long.KeyCol, 3u);
+  const json::Value &Arr = V.memberValue(Long);
+  EXPECT_EQ(Arr.line(), 2u);
+  EXPECT_EQ(Arr.col(), 1020u);
+  ASSERT_EQ(Arr.items().size(), 2u);
+  EXPECT_EQ(Arr.items()[0].col(), 1021u);
+  EXPECT_EQ(Arr.items()[1].line(), 2u);
+  EXPECT_EQ(Arr.items()[1].col(), 2025u);
+}
+
 TEST(Json, DepthBounded) {
   std::string Deep(100, '[');
   Deep += std::string(100, ']');
@@ -121,6 +174,22 @@ TEST(Json, QuoteRoundTrips) {
     std::string Error;
     ASSERT_TRUE(json::parse(json::quote(Hostile), "q", V, Error)) << Error;
     EXPECT_EQ(V.asString(), Hostile);
+  }
+  // Long strings with bytes that need escapes at random offsets, so the
+  // parser's plain runs start and stop everywhere, UTF-8 bytes included.
+  std::mt19937 Rng(2004);
+  const std::string Special = EveryControlByte + "\"\\/\xc3\xa9\x7f";
+  for (unsigned Case = 0; Case != 200; ++Case) {
+    std::string Long(Rng() % 4096, 'x');
+    for (char &C : Long)
+      C = static_cast<char>(' ' + Rng() % 95);
+    for (unsigned N = Rng() % 16; N; --N)
+      if (!Long.empty())
+        Long[Rng() % Long.size()] = Special[Rng() % Special.size()];
+    json::Value V;
+    std::string Error;
+    ASSERT_TRUE(json::parse(json::quote(Long), "q", V, Error)) << Error;
+    EXPECT_EQ(V.asString(), Long) << "case " << Case;
   }
 }
 

@@ -7,6 +7,8 @@
 /// \file
 /// In-process integration tests of the checking service: the wire schema
 /// (parse/render round trips, versioning, strict unknown-key rejection),
+/// the framing I/O over socket pairs (one write per frame, reassembly,
+/// partial-write resume, EOF and oversize statuses),
 /// the persistent result cache (each source stored once, keys split at
 /// the source marker, snapshot round trip, truncation tolerance),
 /// CheckService itself — the caching policy, injected budget trips,
@@ -26,13 +28,17 @@
 #include "gtest/gtest.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <fcntl.h>
 #include <fstream>
 #include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
+#include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -203,6 +209,147 @@ TEST(ServiceProtocol, EnvelopeEmbedsCoreVerbatim) {
   EXPECT_EQ(V.find("cache")->asString(), "hit");
   ASSERT_NE(V.find("result"), nullptr);
   EXPECT_TRUE(V.find("result")->isObject());
+}
+
+//===----------------------------------------------------------------------===//
+// Framing
+//===----------------------------------------------------------------------===//
+
+/// A connected pair of local stream sockets, closed on scope exit.
+struct SocketPair {
+  int Fd[2] = {-1, -1};
+  explicit SocketPair(int Type = SOCK_STREAM) {
+    EXPECT_EQ(::socketpair(AF_UNIX, Type, 0, Fd), 0) << std::strerror(errno);
+  }
+  ~SocketPair() {
+    for (int F : Fd)
+      if (F >= 0)
+        ::close(F);
+  }
+  void closeWriter() {
+    ::close(Fd[0]);
+    Fd[0] = -1;
+  }
+};
+
+/// The wire bytes of one frame: little-endian length prefix, payload.
+std::string frameBytes(uint32_t Len, std::string_view Payload) {
+  std::string Out;
+  for (unsigned Shift = 0; Shift != 32; Shift += 8)
+    Out.push_back(static_cast<char>(Len >> Shift));
+  Out += Payload;
+  return Out;
+}
+
+TEST(ServiceProtocol, FrameIsOneWrite) {
+  // A seqpacket socket keeps write boundaries: one recv returns what one
+  // write sent, so a prefix written on its own would arrive alone.
+  SocketPair P(SOCK_SEQPACKET);
+  const std::string Payload = "{\"api_version\": 1, \"action\": \"ping\"}";
+  std::string Error;
+  ASSERT_TRUE(writeFrame(P.Fd[0], Payload, Error)) << Error;
+  char Buf[256];
+  ssize_t K = ::recv(P.Fd[1], Buf, sizeof(Buf), MSG_DONTWAIT);
+  ASSERT_EQ(K, static_cast<ssize_t>(4 + Payload.size()));
+  EXPECT_EQ(std::string(Buf, static_cast<size_t>(K)),
+            frameBytes(static_cast<uint32_t>(Payload.size()), Payload));
+}
+
+TEST(ServiceProtocol, FrameFedOneByteAtATimeIsReassembled) {
+  SocketPair P;
+  const std::string Payload = "{\"api_version\": 1}";
+  const std::string Wire =
+      frameBytes(static_cast<uint32_t>(Payload.size()), Payload);
+  std::thread Feeder([&] {
+    for (char C : Wire) {
+      ASSERT_EQ(::write(P.Fd[0], &C, 1), 1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  std::string Got, Error;
+  EXPECT_EQ(readFrame(P.Fd[1], Got, Error), IoStatus::Ok) << Error;
+  Feeder.join();
+  EXPECT_EQ(Got, Payload);
+}
+
+TEST(ServiceProtocol, LargeFrameResumesAfterPartialWrites) {
+  // A non-blocking writer with a small send buffer gets short writes
+  // from the first call on; the frame must still arrive intact.
+  SocketPair P;
+  int Small = 4096;
+  ::setsockopt(P.Fd[0], SOL_SOCKET, SO_SNDBUF, &Small, sizeof(Small));
+  ::fcntl(P.Fd[0], F_SETFL, ::fcntl(P.Fd[0], F_GETFL) | O_NONBLOCK);
+  std::string Payload(1u << 20, '\0');
+  for (size_t I = 0; I != Payload.size(); ++I)
+    Payload[I] = static_cast<char>(I * 31 % 251);
+  std::string Got, ReadError;
+  IoStatus S = IoStatus::Error;
+  std::thread Reader([&] { S = readFrame(P.Fd[1], Got, ReadError); });
+  std::string Error;
+  EXPECT_TRUE(writeFrame(P.Fd[0], Payload, Error)) << Error;
+  Reader.join();
+  EXPECT_EQ(S, IoStatus::Ok) << ReadError;
+  EXPECT_TRUE(Got == Payload);
+}
+
+TEST(ServiceProtocol, FrameOverAPipeIsRead) {
+  // Not a socket: the payload read falls back to polling.
+  int Fd[2];
+  ASSERT_EQ(::pipe(Fd), 0);
+  std::string Error, Got;
+  ASSERT_TRUE(writeFrame(Fd[1], "{}", Error)) << Error;
+  EXPECT_EQ(readFrame(Fd[0], Got, Error), IoStatus::Ok) << Error;
+  EXPECT_EQ(Got, "{}");
+  ::close(Fd[0]);
+  ::close(Fd[1]);
+}
+
+TEST(ServiceProtocol, EofBetweenFramesIsClean) {
+  SocketPair P;
+  std::string Error;
+  ASSERT_TRUE(writeFrame(P.Fd[0], "", Error)) << Error;
+  P.closeWriter();
+  std::string Got = "stale";
+  EXPECT_EQ(readFrame(P.Fd[1], Got, Error), IoStatus::Ok) << Error;
+  EXPECT_EQ(Got, "");
+  EXPECT_EQ(readFrame(P.Fd[1], Got, Error), IoStatus::Eof);
+}
+
+TEST(ServiceProtocol, EofInsideLengthPrefixIsAnError) {
+  SocketPair P;
+  ASSERT_EQ(::write(P.Fd[0], "\x05\x00", 2), 2);
+  P.closeWriter();
+  std::string Got, Error;
+  EXPECT_EQ(readFrame(P.Fd[1], Got, Error), IoStatus::Error);
+  EXPECT_EQ(Error, "connection closed inside a frame length prefix");
+}
+
+TEST(ServiceProtocol, EofInsidePayloadIsAnError) {
+  SocketPair P;
+  const std::string Wire = frameBytes(10, "abc");
+  ASSERT_EQ(::write(P.Fd[0], Wire.data(), Wire.size()),
+            static_cast<ssize_t>(Wire.size()));
+  P.closeWriter();
+  std::string Got, Error;
+  EXPECT_EQ(readFrame(P.Fd[1], Got, Error), IoStatus::Error);
+  EXPECT_EQ(Error, "connection closed inside a frame payload");
+}
+
+TEST(ServiceProtocol, OversizeLengthPrefixIsRejected) {
+  SocketPair P;
+  const std::string Wire = frameBytes(MaxFrameBytes + 1, "");
+  ASSERT_EQ(::write(P.Fd[0], Wire.data(), Wire.size()), 4);
+  std::string Got, Error;
+  EXPECT_EQ(readFrame(P.Fd[1], Got, Error), IoStatus::Error);
+  EXPECT_EQ(Error, "frame length 67108865 exceeds the 67108864-byte limit");
+}
+
+TEST(ServiceProtocol, CancelledReadReturnsCancelled) {
+  SocketPair P;
+  gov::CancellationToken Cancel;
+  Cancel.requestCancel();
+  std::string Got, Error;
+  EXPECT_EQ(readFrame(P.Fd[1], Got, Error, &Cancel), IoStatus::Cancelled);
 }
 
 //===----------------------------------------------------------------------===//
@@ -627,6 +774,63 @@ TEST(CheckService, SnapshotSurvivesRestart) {
     Reply R = Svc.check(makeCheck(BuggySource, "persist.kiss"));
     EXPECT_EQ(R.Cache, CacheDisposition::Hit);
     EXPECT_EQ(R.Core, FirstCore);
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(CheckService, CorruptCachedCoreIsRecomputedAndOverwritten) {
+  // A hand-built snapshot whose cores do not carry a usable code: one is
+  // not JSON, one has a code out of range. Each is found (a cache hit in
+  // the counters) but answered as a miss, recomputed and overwritten.
+  std::string Path = tempPath("service_corrupt.bin");
+  {
+    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+    Out << "kissd-cache v1\n"
+        << snapshotRecord(keyFor(SafeSource, "corrupt.kiss"), "not json {")
+        << snapshotRecord(keyFor(BuggySource, "corrupt.kiss"),
+                          "{\"code\": 7}");
+  }
+  std::string Fresh[2];
+  {
+    CheckService Ref({1, ""});
+    Fresh[0] = Ref.check(makeCheck(SafeSource, "corrupt.kiss")).Core;
+    Fresh[1] = Ref.check(makeCheck(BuggySource, "corrupt.kiss")).Core;
+  }
+  CheckService Svc({1, Path});
+  ASSERT_TRUE(Svc.cacheLoadError().empty()) << Svc.cacheLoadError();
+  EXPECT_EQ(statU64(Svc, "cache_entries"), 2u);
+  const char *Sources[2] = {SafeSource, BuggySource};
+  for (unsigned I = 0; I != 2; ++I) {
+    Reply R = Svc.check(makeCheck(Sources[I], "corrupt.kiss"));
+    EXPECT_EQ(R.Cache, CacheDisposition::Miss) << I;
+    EXPECT_EQ(R.Code, static_cast<int>(I)) << I;
+    EXPECT_EQ(R.Core, Fresh[I]) << I;
+  }
+  EXPECT_EQ(statU64(Svc, "requests"), 2u);
+  EXPECT_EQ(statU64(Svc, "cache_hits"), 2u);
+  EXPECT_EQ(statU64(Svc, "cache_misses"), 0u);
+  EXPECT_EQ(statU64(Svc, "cache_entries"), 2u);
+  EXPECT_EQ(statU64(Svc, "cache_sources"), 2u);
+  uint64_t Keys = keyFor(SafeSource, "corrupt.kiss").size() +
+                   keyFor(BuggySource, "corrupt.kiss").size();
+  EXPECT_EQ(statU64(Svc, "cache_bytes"),
+            Keys + Fresh[0].size() + Fresh[1].size());
+  // The overwritten entries now answer as hits, and persist.
+  for (unsigned I = 0; I != 2; ++I) {
+    Reply R = Svc.check(makeCheck(Sources[I], "corrupt.kiss"));
+    EXPECT_EQ(R.Cache, CacheDisposition::Hit) << I;
+    EXPECT_EQ(R.Code, static_cast<int>(I)) << I;
+    EXPECT_EQ(R.Core, Fresh[I]) << I;
+  }
+  EXPECT_EQ(statU64(Svc, "cache_hits"), 4u);
+  std::string Error;
+  ASSERT_TRUE(Svc.saveCache(Error)) << Error;
+  ResultCache Reloaded;
+  ASSERT_TRUE(Reloaded.load(Path, Error)) << Error;
+  for (unsigned I = 0; I != 2; ++I) {
+    std::string V;
+    ASSERT_TRUE(Reloaded.lookup(keyFor(Sources[I], "corrupt.kiss"), V));
+    EXPECT_EQ(V, Fresh[I]) << I;
   }
   std::remove(Path.c_str());
 }
