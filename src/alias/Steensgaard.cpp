@@ -39,12 +39,14 @@ private:
   }
 
   uint32_t idOf(const AbstractLoc &L) {
-    auto It = R.Ids.find(L);
-    if (It != R.Ids.end())
-      return It->second;
-    uint32_t Id = makeNode();
-    R.Ids.emplace(L, Id);
-    return Id;
+    if (2 * (R.Parent.size() + 1) > R.IdSlots.size())
+      R.growIdSlots();
+    PointsTo::IdSlot &Slot = R.IdSlots[R.slotOf(L)];
+    if (Slot.Id == ~0u) {
+      Slot.Loc = L;
+      Slot.Id = makeNode();
+    }
+    return Slot.Id;
   }
 
   uint32_t find(uint32_t X) {
@@ -210,33 +212,34 @@ private:
     }
   }
 
-  /// Candidate callees of an indirect call: every function whose signature
-  /// matches the callee's static type.
-  std::vector<uint32_t> calleeCandidates(const Expr *Callee) {
-    if (const auto *F = dyn_cast<FuncRefExpr>(Callee))
-      return {F->getFuncIndex()};
-    std::vector<uint32_t> Out;
+  /// Binds the arguments and result of a call to \p FI's parameters and
+  /// return value.
+  void bindCallee(uint32_t FI, const std::vector<ExprPtr> &Args,
+                  uint32_t ResultNode) {
+    const FuncDecl *F = P.getFunction(FI);
+    for (unsigned I = 0, E = Args.size(); I != E; ++I) {
+      if (I >= F->getNumParams())
+        break;
+      uint32_t ArgN = atomNode(Args[I].get());
+      if (ArgN != ~0u)
+        copy(idOf(AbstractLoc::local(FI, I)), ArgN);
+    }
+    if (ResultNode != ~0u)
+      copy(ResultNode, idOf(AbstractLoc::ret(FI)));
+  }
+
+  /// Binds a call to its callee, or for an indirect call to every function
+  /// whose signature matches the callee's static type.
+  void bindCall(const Expr *Callee, const std::vector<ExprPtr> &Args,
+                uint32_t ResultNode) {
+    if (const auto *F = dyn_cast<FuncRefExpr>(Callee)) {
+      bindCallee(F->getFuncIndex(), Args, ResultNode);
+      return;
+    }
     const Type *Ty = Callee->getType();
     for (uint32_t I = 0, E = P.getFunctions().size(); I != E; ++I)
       if (P.getFunctions()[I]->getFuncType() == Ty)
-        Out.push_back(I);
-    return Out;
-  }
-
-  void bindCall(const Expr *Callee, const std::vector<ExprPtr> &Args,
-                uint32_t ResultNode) {
-    for (uint32_t FI : calleeCandidates(Callee)) {
-      const FuncDecl *F = P.getFunction(FI);
-      for (unsigned I = 0, E = Args.size(); I != E; ++I) {
-        if (I >= F->getNumParams())
-          break;
-        uint32_t ArgN = atomNode(Args[I].get());
-        if (ArgN != ~0u)
-          copy(idOf(AbstractLoc::local(FI, I)), ArgN);
-      }
-      if (ResultNode != ~0u)
-        copy(ResultNode, idOf(AbstractLoc::ret(FI)));
-    }
+        bindCallee(I, Args, ResultNode);
   }
 
   void visitCall(const CallExpr *C, uint32_t ResultNode) {
@@ -299,9 +302,29 @@ uint32_t PointsTo::find(uint32_t X) const {
   return X;
 }
 
+size_t PointsTo::slotOf(const AbstractLoc &L) const {
+  uint64_t H = ((uint64_t(L.A) << 32) | L.B) * 0x9e3779b97f4a7c15ull;
+  H ^= static_cast<uint64_t>(L.K) * 0xc2b2ae3d27d4eb4full;
+  size_t Mask = IdSlots.size() - 1;
+  for (size_t I = (H >> 32) & Mask;; I = (I + 1) & Mask) {
+    const IdSlot &S = IdSlots[I];
+    if (S.Id == ~0u || S.Loc == L)
+      return I;
+  }
+}
+
+void PointsTo::growIdSlots() {
+  std::vector<IdSlot> Old = std::move(IdSlots);
+  IdSlots.assign(Old.empty() ? 256 : 2 * Old.size(), IdSlot());
+  for (const IdSlot &S : Old)
+    if (S.Id != ~0u)
+      IdSlots[slotOf(S.Loc)] = S;
+  Parent.reserve(IdSlots.size() / 2);
+  Pointee.reserve(IdSlots.size() / 2);
+}
+
 uint32_t PointsTo::idOf(const AbstractLoc &L) const {
-  auto It = Ids.find(L);
-  return It == Ids.end() ? ~0u : It->second;
+  return IdSlots.empty() ? ~0u : IdSlots[slotOf(L)].Id;
 }
 
 PointsTo PointsTo::analyze(const Program &P) {

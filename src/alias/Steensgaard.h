@@ -24,7 +24,7 @@
 #include "lang/AST.h"
 
 #include <cstdint>
-#include <map>
+#include <cstddef>
 #include <vector>
 
 namespace kiss::alias {
@@ -42,12 +42,8 @@ struct AbstractLoc {
   uint32_t A = 0;
   uint32_t B = 0;
 
-  friend bool operator<(const AbstractLoc &X, const AbstractLoc &Y) {
-    if (X.K != Y.K)
-      return X.K < Y.K;
-    if (X.A != Y.A)
-      return X.A < Y.A;
-    return X.B < Y.B;
+  friend bool operator==(const AbstractLoc &X, const AbstractLoc &Y) {
+    return X.K == Y.K && X.A == Y.A && X.B == Y.B;
   }
 
   static AbstractLoc global(uint32_t Index) {
@@ -92,7 +88,19 @@ private:
   uint32_t find(uint32_t X) const;
   uint32_t idOf(const AbstractLoc &L) const; ///< ~0u if never mentioned.
 
-  std::map<AbstractLoc, uint32_t> Ids;
+  /// Abstract location to id, by open addressing with linear probing: a
+  /// power of two in size, at most half full; Id ~0u marks a free slot.
+  struct IdSlot {
+    AbstractLoc Loc{AbstractLoc::Kind::Global};
+    uint32_t Id = ~0u;
+  };
+  /// \returns the slot holding \p L, or the free slot where it belongs.
+  /// IdSlots must not be empty.
+  size_t slotOf(const AbstractLoc &L) const;
+  /// Doubles IdSlots (or creates it) and reinserts every location.
+  void growIdSlots();
+
+  std::vector<IdSlot> IdSlots;
   mutable std::vector<uint32_t> Parent;
   /// For each representative: the representative it points to, or ~0u.
   std::vector<uint32_t> Pointee;

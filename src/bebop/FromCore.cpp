@@ -232,7 +232,7 @@ bool Converter::convertFunction(uint32_t FuncIdx,
     const cfg::Node &N = FCFG.getNode(I);
     // Default: a Nop wired like the CFG node.
     BF.Nodes[I].K = BNode::Kind::Nop;
-    BF.Nodes[I].Succs = N.Succs;
+    BF.Nodes[I].Succs.assign(N.Succs.begin(), N.Succs.end());
 
     switch (N.Kind) {
     case cfg::NodeKind::Nop:

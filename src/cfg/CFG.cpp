@@ -10,6 +10,7 @@
 #include "lower/Lower.h"
 
 #include <cassert>
+#include <utility>
 
 using namespace kiss;
 using namespace kiss::cfg;
@@ -17,20 +18,42 @@ using namespace kiss::lang;
 
 namespace kiss::cfg {
 
-/// Builds the CFG of one function.
+/// Builds the CFG of one function at a time. Nodes and edges collect in
+/// scratch buffers that every function of a program reuses; each graph
+/// then gets them in arrays of exactly its size.
 class CFGBuilder {
 public:
-  explicit CFGBuilder(const FuncDecl &F) { CFG.Func = &F; }
-
-  FunctionCFG take() && { return std::move(CFG); }
-
-  void build() {
+  FunctionCFG build(const FuncDecl &F) {
+    Nodes.clear();
+    Links.clear();
+    FunctionCFG CFG;
+    CFG.Func = &F;
     CFG.Entry = addNode(NodeKind::Nop, nullptr);
     // The synthetic exit: control falling off the end returns the default
     // value (void functions) — the engines special-case S == nullptr.
     CFG.Exit = addNode(NodeKind::Return, nullptr);
-    uint32_t Tail = buildStmt(CFG.Func->getBody(), CFG.Entry);
+    uint32_t Tail = buildStmt(F.getBody(), CFG.Entry);
     link(Tail, CFG.Exit);
+
+    // Group the edges by source node, each group in link order.
+    Starts.assign(Nodes.size() + 1, 0);
+    for (const auto &[From, To] : Links)
+      ++Starts[From + 1];
+    for (size_t I = 1; I != Starts.size(); ++I)
+      Starts[I] += Starts[I - 1];
+    CFG.Edges.resize(Links.size());
+    for (const auto &[From, To] : Links)
+      CFG.Edges[Starts[From]++] = To;
+    // Starts[I] is now where node I's group ends.
+    CFG.Nodes.assign(Nodes.begin(), Nodes.end());
+    uint32_t Begin = 0;
+    for (size_t I = 0; I != Nodes.size(); ++I) {
+      SuccList &Succs = CFG.Nodes[I].Succs;
+      Succs.Data = CFG.Edges.data() + Begin;
+      Succs.Size = Starts[I] - Begin;
+      Begin = Starts[I];
+    }
+    return CFG;
   }
 
 private:
@@ -38,13 +61,11 @@ private:
     Node N;
     N.Kind = Kind;
     N.S = S;
-    CFG.Nodes.push_back(std::move(N));
-    return CFG.Nodes.size() - 1;
+    Nodes.push_back(N);
+    return Nodes.size() - 1;
   }
 
-  void link(uint32_t From, uint32_t To) {
-    CFG.Nodes[From].Succs.push_back(To);
-  }
+  void link(uint32_t From, uint32_t To) { Links.emplace_back(From, To); }
 
   /// Appends the CFG of \p S after node \p Pred and returns the tail node
   /// from which execution continues.
@@ -129,7 +150,10 @@ private:
     return Pred;
   }
 
-  FunctionCFG CFG;
+  std::vector<Node> Nodes;
+  /// Edges (from, to) in link order.
+  std::vector<std::pair<uint32_t, uint32_t>> Links;
+  std::vector<uint32_t> Starts;
 };
 
 } // namespace kiss::cfg
@@ -138,11 +162,10 @@ ProgramCFG ProgramCFG::build(const Program &P) {
   assert(lower::isCoreProgram(P) && "CFG requires a core program");
   ProgramCFG Out;
   Out.Prog = &P;
-  for (const auto &F : P.getFunctions()) {
-    CFGBuilder B(*F);
-    B.build();
-    Out.Funcs.push_back(std::move(B).take());
-  }
+  Out.Funcs.reserve(P.getFunctions().size());
+  CFGBuilder B;
+  for (const auto &F : P.getFunctions())
+    Out.Funcs.push_back(B.build(*F));
   return Out;
 }
 

@@ -18,6 +18,7 @@
 
 #include "lang/AST.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -33,6 +34,22 @@ enum class NodeKind : uint8_t {
   AtomicEnd,   ///< Leave an atomic section.
 };
 
+/// A node's successors: a read-only view into its function's edge array.
+class SuccList {
+public:
+  size_t size() const { return Size; }
+  bool empty() const { return Size == 0; }
+  uint32_t operator[](size_t I) const { return Data[I]; }
+  const uint32_t *begin() const { return Data; }
+  const uint32_t *end() const { return Data + Size; }
+  const uint32_t *data() const { return Data; }
+
+private:
+  friend class CFGBuilder;
+  const uint32_t *Data = nullptr;
+  uint32_t Size = 0;
+};
+
 /// One CFG node. Successor order is deterministic and meaningful only for
 /// reproducibility (all successors of a multi-successor node are
 /// nondeterministic alternatives).
@@ -41,13 +58,19 @@ struct Node {
   /// The core statement this node performs (null for Nop/AtomicBegin/End
   /// and for the synthetic function-exit Return).
   const lang::Stmt *S = nullptr;
-  std::vector<uint32_t> Succs;
+  SuccList Succs;
 };
 
 /// The CFG of one function. Node 0 is the entry; ExitNode is a synthetic
-/// Return executed when control falls off the end of the body.
+/// Return executed when control falls off the end of the body. Every
+/// node's successors live in one edge array, grouped by node; the graph
+/// can be moved but not copied, since the nodes point into that array.
 class FunctionCFG {
 public:
+  FunctionCFG() = default;
+  FunctionCFG(FunctionCFG &&) = default;
+  FunctionCFG &operator=(FunctionCFG &&) = default;
+
   const lang::FuncDecl *getFunction() const { return Func; }
 
   uint32_t getEntry() const { return Entry; }
@@ -64,6 +87,7 @@ private:
 
   const lang::FuncDecl *Func = nullptr;
   std::vector<Node> Nodes;
+  std::vector<uint32_t> Edges;
   uint32_t Entry = 0;
   uint32_t Exit = 0;
 };

@@ -10,7 +10,9 @@
 
 #include <cassert>
 #include <cctype>
+#include <initializer_list>
 #include <map>
+#include <string_view>
 
 using namespace kiss::drivers;
 
@@ -35,6 +37,12 @@ bool kiss::drivers::mayRunConcurrently(IrpCategory A, IrpCategory B,
 }
 
 namespace {
+
+/// Appends every piece to \p Out, making no temporary strings.
+void append(std::string &Out, std::initializer_list<std::string_view> Pieces) {
+  for (std::string_view Piece : Pieces)
+    Out += Piece;
+}
 
 /// "toaster/toastmon" -> "toaster_toastmon" for identifier use.
 std::string sanitize(const std::string &Name) {
@@ -79,8 +87,8 @@ struct RoutineNames {
 RoutineNames routineNames(const DriverSpec &D, const FieldSpec &F) {
   std::string Drv = sanitize(D.Name);
   RoutineNames N;
-  N.A = Drv + "_" + categoryTag(F.CatA) + "_" + F.Name + "_A";
-  N.B = Drv + "_" + categoryTag(F.CatB) + "_" + F.Name + "_B";
+  append(N.A, {Drv, "_", categoryTag(F.CatA), "_", F.Name, "_A"});
+  append(N.B, {Drv, "_", categoryTag(F.CatB), "_", F.Name, "_B"});
   return N;
 }
 
@@ -90,7 +98,7 @@ void emitDeviceExtension(const DriverSpec &D, std::string &Out) {
   Out += getDeviceExtensionName();
   Out += " {\n";
   for (const FieldSpec &F : D.Fields)
-    Out += "  int " + F.Name + ";\n";
+    append(Out, {"  int ", F.Name, ";\n"});
   Out += "}\n\n";
 }
 
@@ -104,13 +112,13 @@ void emitFieldRoutines(const DriverSpec &D, const FieldSpec &F,
   case FieldBehavior::LockField:
     // The lock cell is only touched inside the DDK primitives' atomic
     // blocks; these routines exercise acquire/release.
-    Out += "void " + N.A + "(" + Dev + " *e) {\n";
-    Out += "  KeAcquireSpinLock(&e->" + F.Name + ");\n";
-    Out += "  KeReleaseSpinLock(&e->" + F.Name + ");\n";
+    append(Out, {"void ", N.A, "(", Dev, " *e) {\n"});
+    append(Out, {"  KeAcquireSpinLock(&e->", F.Name, ");\n"});
+    append(Out, {"  KeReleaseSpinLock(&e->", F.Name, ");\n"});
     Out += "}\n\n";
-    Out += "void " + N.B + "(" + Dev + " *e) {\n";
-    Out += "  KeAcquireSpinLock(&e->" + F.Name + ");\n";
-    Out += "  KeReleaseSpinLock(&e->" + F.Name + ");\n";
+    append(Out, {"void ", N.B, "(", Dev, " *e) {\n"});
+    append(Out, {"  KeAcquireSpinLock(&e->", F.Name, ");\n"});
+    append(Out, {"  KeReleaseSpinLock(&e->", F.Name, ");\n"});
     Out += "}\n\n";
     return;
 
@@ -119,29 +127,29 @@ void emitFieldRoutines(const DriverSpec &D, const FieldSpec &F,
     // The toastmon pattern (Figure 6): a lock-protected write racing with
     // one unprotected read. Whether the race is real or spurious is
     // decided purely by the IRP categories the routines carry.
-    Out += "void " + N.A + "(" + Dev + " *e) {\n";
+    append(Out, {"void ", N.A, "(", Dev, " *e) {\n"});
     Out += "  RecordRequest(&totalRequests);\n";
     Out += "  KeAcquireSpinLock(&e->QueueLock);\n";
-    Out += "  e->" + F.Name + " = e->" + F.Name + " + 1;\n";
+    append(Out, {"  e->", F.Name, " = e->", F.Name, " + 1;\n"});
     Out += "  KeReleaseSpinLock(&e->QueueLock);\n";
     Out += "}\n\n";
-    Out += "void " + N.B + "(" + Dev + " *e) {\n";
-    Out += "  int value = e->" + F.Name + ";   // unprotected read\n";
+    append(Out, {"void ", N.B, "(", Dev, " *e) {\n"});
+    append(Out, {"  int value = e->", F.Name, ";   // unprotected read\n"});
     Out += "  if (value > 0) { skip; }\n";
     Out += "}\n\n";
     return;
 
   case FieldBehavior::Protected:
-    Out += "void " + N.A + "(" + Dev + " *e) {\n";
+    append(Out, {"void ", N.A, "(", Dev, " *e) {\n"});
     Out += "  RecordRequest(&totalRequests);\n";
     Out += "  KeAcquireSpinLock(&e->QueueLock);\n";
-    Out += "  e->" + F.Name + " = e->" + F.Name + " + 1;\n";
+    append(Out, {"  e->", F.Name, " = e->", F.Name, " + 1;\n"});
     Out += "  KeReleaseSpinLock(&e->QueueLock);\n";
     Out += "}\n\n";
-    Out += "void " + N.B + "(" + Dev + " *e) {\n";
+    append(Out, {"void ", N.B, "(", Dev, " *e) {\n"});
     Out += "  int value;\n";
     Out += "  KeAcquireSpinLock(&e->QueueLock);\n";
-    Out += "  value = e->" + F.Name + ";\n";
+    append(Out, {"  value = e->", F.Name, ";\n"});
     Out += "  KeReleaseSpinLock(&e->QueueLock);\n";
     Out += "  if (value > 0) { skip; }\n";
     Out += "}\n\n";
@@ -151,13 +159,13 @@ void emitFieldRoutines(const DriverSpec &D, const FieldSpec &F,
     // Protected accesses, but with enough nondeterministic request state
     // that exhaustive exploration exceeds the per-field resource bound —
     // the analogue of the paper's 20-minute timeouts.
-    Out += "void " + N.A + "(" + Dev + " *e) {\n";
+    append(Out, {"void ", N.A, "(", Dev, " *e) {\n"});
     Out += "  RecordRequest(&totalRequests);\n";
     Out += "  KeAcquireSpinLock(&e->QueueLock);\n";
-    Out += "  e->" + F.Name + " = e->" + F.Name + " + 1;\n";
+    append(Out, {"  e->", F.Name, " = e->", F.Name, " + 1;\n"});
     Out += "  KeReleaseSpinLock(&e->QueueLock);\n";
     Out += "}\n\n";
-    Out += "void " + N.B + "(" + Dev + " *e) {\n";
+    append(Out, {"void ", N.B, "(", Dev, " *e) {\n"});
     Out += "  int req0 = nondet_int(0, 9);\n";
     Out += "  int req1 = nondet_int(0, 9);\n";
     Out += "  int req2 = nondet_int(0, 9);\n";
@@ -166,7 +174,7 @@ void emitFieldRoutines(const DriverSpec &D, const FieldSpec &F,
     Out += "  if (req0 + req1 + req2 + req3 + req4 > 25) { skip; }\n";
     Out += "  int value;\n";
     Out += "  KeAcquireSpinLock(&e->QueueLock);\n";
-    Out += "  value = e->" + F.Name + ";\n";
+    append(Out, {"  value = e->", F.Name, ";\n"});
     Out += "  KeReleaseSpinLock(&e->QueueLock);\n";
     Out += "  if (value > 0) { skip; }\n";
     Out += "}\n\n";
@@ -191,11 +199,13 @@ std::string kiss::drivers::buildFieldProgram(const DriverSpec &D,
   const FieldSpec &F = D.Fields[FieldIndex];
   RoutineNames N = routineNames(D, F);
 
-  std::string Out = "// Driver model: " + D.Name + ", field " + F.Name +
-                    " (" + std::string(V == HarnessVersion::V1Unconstrained
-                                           ? "unconstrained"
-                                           : "refined") +
-                    " harness)\n";
+  std::string Out;
+  // A Table-1 field model is under 2.5 KB.
+  Out.reserve(4096);
+  append(Out, {"// Driver model: ", D.Name, ", field ", F.Name, " (",
+               V == HarnessVersion::V1Unconstrained ? "unconstrained"
+                                                    : "refined",
+               " harness)\n"});
   Out += getDdkPrelude();
   Out += R"(
 // Request accounting through a pointer: without the points-to analysis the
@@ -212,9 +222,8 @@ void RecordRequest(int *counter) {
 
   if (V == HarnessVersion::V1Unconstrained) {
     // Two threads, each nondeterministically calling a dispatch routine.
-    Out += "void __dispatch(" + std::string(getDeviceExtensionName()) +
-           " *e) {\n";
-    Out += "  choice { " + N.A + "(e); } or { " + N.B + "(e); }\n";
+    append(Out, {"void __dispatch(", getDeviceExtensionName(), " *e) {\n"});
+    append(Out, {"  choice { ", N.A, "(e); } or { ", N.B, "(e); }\n"});
     Out += "}\n\n";
     Out += "void main() {\n";
     emitAllocation(Out);
@@ -242,15 +251,15 @@ void RecordRequest(int *counter) {
   emitAllocation(Out);
   Out += "  choice {\n";
   Out += "    // sequential execution is always permitted\n";
-  Out += "    " + N.A + "(e);\n";
-  Out += "    " + N.B + "(e);\n";
+  append(Out, {"    ", N.A, "(e);\n"});
+  append(Out, {"    ", N.B, "(e);\n"});
   Out += "  }";
   for (const Pair &Pr : Pairs) {
     if (!mayRunConcurrently(Pr.CX, Pr.CY, D.NoConcurrentIoctls))
       continue;
     Out += " or {\n";
-    Out += "    async " + *Pr.X + "(e);\n";
-    Out += "    " + *Pr.Y + "(e);\n";
+    append(Out, {"    async ", *Pr.X, "(e);\n"});
+    append(Out, {"    ", *Pr.Y, "(e);\n"});
     Out += "  }";
   }
   Out += "\n}\n";
@@ -282,13 +291,13 @@ void RecordRequest(int *counter) {
   const char *Dev = getDeviceExtensionName();
 
   if (V == HarnessVersion::V1Unconstrained) {
-    Out += "void __dispatch(" + std::string(Dev) + " *e) {\n";
+    append(Out, {"void __dispatch(", Dev, " *e) {\n"});
     bool First = true;
     for (const auto &[Cat, Routines] : ByCategory) {
       (void)Cat;
       for (const std::string &R : Routines) {
         Out += First ? "  choice { " : "  or { ";
-        Out += R + "(e); }\n";
+        append(Out, {R, "(e); }\n"});
         First = false;
       }
     }
@@ -304,12 +313,11 @@ void RecordRequest(int *counter) {
   // Refined harness: one dispatcher per IRP category; concurrency only
   // between rule-compatible categories.
   for (const auto &[Cat, Routines] : ByCategory) {
-    Out += "void __dispatch_" + std::string(categoryTag(Cat)) + "(" + Dev +
-           " *e) {\n";
+    append(Out, {"void __dispatch_", categoryTag(Cat), "(", Dev, " *e) {\n"});
     bool First = true;
     for (const std::string &R : Routines) {
       Out += First ? "  choice { " : "  or { ";
-      Out += R + "(e); }\n";
+      append(Out, {R, "(e); }\n"});
       First = false;
     }
     Out += "}\n\n";
@@ -329,9 +337,8 @@ void RecordRequest(int *counter) {
       if (!mayRunConcurrently(CA, CB, D.NoConcurrentIoctls))
         continue;
       Out += " or {\n";
-      Out += "    async __dispatch_" + std::string(categoryTag(CA)) +
-             "(e);\n";
-      Out += "    __dispatch_" + std::string(categoryTag(CB)) + "(e);\n";
+      append(Out, {"    async __dispatch_", categoryTag(CA), "(e);\n"});
+      append(Out, {"    __dispatch_", categoryTag(CB), "(e);\n"});
       Out += "  }";
     }
   }

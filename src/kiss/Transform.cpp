@@ -246,7 +246,8 @@ private:
 
   //===--- Race probes ---===//
   void collectReadsOfExpr(const Expr *E, std::vector<Access> &Out);
-  std::vector<Access> collectAccesses(const Stmt *S);
+  /// Replaces \p Out's contents with the accesses of \p S.
+  void collectAccesses(const Stmt *S, std::vector<Access> &Out);
   StmtPtr makeProbeBranch(const Access &A, const Stmt *OriginStmt);
   void emitRaceObjCapture(const AssignStmt *OrigAssign,
                           std::vector<StmtPtr> &Out);
@@ -314,6 +315,8 @@ private:
   uint32_t CurFuncIdx = 0;
 
   std::optional<alias::PointsTo> AA;
+  /// emitPrefix's scratch list of one statement's accesses.
+  std::vector<Access> Accesses;
 };
 
 bool KissTransformer::validateInput() {
@@ -665,14 +668,16 @@ const Type *KissTransformer::targetValueType() const {
 }
 
 void KissTransformer::declareFunctions() {
+  NewNames.reserve(P.getFunctions().size());
+  std::string NewSpelling;
   for (const auto &F : P.getFunctions()) {
-    Symbol NewName =
-        Syms.intern("__kiss_" + std::string(Syms.str(F->getName())));
+    NewSpelling.assign("__kiss_");
+    NewSpelling += Syms.str(F->getName());
+    Symbol NewName = Syms.intern(NewSpelling);
     NewNames.push_back(NewName);
     FuncDecl *NF = Out->addFunction(NewName, F->getReturnType(), F->getLoc());
     NF->setNumParams(F->getNumParams());
-    for (const VarDecl &L : F->getLocals())
-      NF->addLocal(L);
+    NF->getLocals() = F->getLocals();
     NF->setFuncType(F->getFuncType());
   }
 
@@ -720,6 +725,7 @@ StmtPtr KissTransformer::makeDefaultReturn() {
 
 StmtPtr KissTransformer::makeRaiseBranch() {
   std::vector<StmtPtr> Stmts;
+  Stmts.reserve(2);
   Stmts.push_back(B->assignVar(RaiseVar, B->boolLit(true)));
   Stmts.push_back(makeDefaultReturn());
   for (StmtPtr &S : Stmts)
@@ -731,12 +737,14 @@ StmtPtr KissTransformer::makePropagate() {
   // if (__raise) return;  ==  choice { assume(__raise); return }
   //                            or    { assume(!__raise) }
   std::vector<StmtPtr> TakenStmts;
+  TakenStmts.reserve(2);
   TakenStmts.push_back(B->assumeStmt(B->varRef(RaiseVar)));
   TakenStmts.push_back(makeDefaultReturn());
   std::vector<StmtPtr> SkippedStmts;
   SkippedStmts.push_back(B->assumeStmt(B->notOf(B->varRef(RaiseVar))));
 
   std::vector<StmtPtr> Branches;
+  Branches.reserve(2);
   Branches.push_back(B->block(std::move(TakenStmts)));
   Branches.push_back(B->block(std::move(SkippedStmts)));
   StmtPtr Choice = B->choice(std::move(Branches));
@@ -761,16 +769,21 @@ void KissTransformer::emitPrefix(const Stmt *S, std::vector<StmtPtr> &Out,
   if (Stats)
     ++Stats->StatementsInstrumented;
 
+  // §6 (future work realized): `benign`-annotated accesses are not
+  // instrumented.
+  bool Probes = isRaceMode() && !PlainRaiseBranch && !S->isBenign();
+  if (Probes)
+    collectAccesses(S, Accesses);
+
   std::vector<StmtPtr> Branches;
+  Branches.reserve(3 + (Probes ? Accesses.size() : 0));
   Branches.push_back(B->skip());
 
   if (!isRaceMode() || PlainRaiseBranch)
     Branches.push_back(makeRaiseBranch());
 
-  // §6 (future work realized): `benign`-annotated accesses are not
-  // instrumented.
-  if (isRaceMode() && !PlainRaiseBranch && !S->isBenign()) {
-    for (const Access &A : collectAccesses(S)) {
+  if (Probes) {
+    for (const Access &A : Accesses) {
       StmtPtr Probe = makeProbeBranch(A, S);
       if (Probe) {
         if (CurSusp)
@@ -1407,8 +1420,9 @@ void KissTransformer::collectReadsOfExpr(const Expr *E,
   }
 }
 
-std::vector<Access> KissTransformer::collectAccesses(const Stmt *S) {
-  std::vector<Access> Out;
+void KissTransformer::collectAccesses(const Stmt *S,
+                                      std::vector<Access> &Out) {
+  Out.clear();
   switch (S->getKind()) {
   case StmtKind::Assign: {
     const auto *A = cast<AssignStmt>(S);
@@ -1424,30 +1438,30 @@ std::vector<Access> KissTransformer::collectAccesses(const Stmt *S) {
       collectReadsOfExpr(Fd->getBase(), Out);
       Out.push_back(Access{Access::Via::FieldOfObj, LHS, /*IsWrite=*/true});
     }
-    return Out;
+    return;
   }
   case StmtKind::ExprStmt:
     collectReadsOfExpr(cast<ExprStmt>(S)->getExpr(), Out);
-    return Out;
+    return;
   case StmtKind::Async: {
     const auto *A = cast<AsyncStmt>(S);
     collectReadsOfExpr(A->getCallee(), Out);
     for (const ExprPtr &Arg : A->getArgs())
       collectReadsOfExpr(Arg.get(), Out);
-    return Out;
+    return;
   }
   case StmtKind::Assert:
     collectReadsOfExpr(cast<AssertStmt>(S)->getCond(), Out);
-    return Out;
+    return;
   case StmtKind::Assume:
     collectReadsOfExpr(cast<AssumeStmt>(S)->getCond(), Out);
-    return Out;
+    return;
   case StmtKind::Return:
     if (const Expr *V = cast<ReturnStmt>(S)->getValue())
       collectReadsOfExpr(V, Out);
-    return Out;
+    return;
   default:
-    return Out;
+    return;
   }
 }
 

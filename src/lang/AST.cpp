@@ -102,6 +102,7 @@ ExprPtr Expr::clone() const {
   case ExprKind::Call: {
     const auto *E = cast<CallExpr>(this);
     std::vector<ExprPtr> Args;
+    Args.reserve(E->getArgs().size());
     for (const ExprPtr &A : E->getArgs())
       Args.push_back(A->clone());
     Out = std::make_unique<CallExpr>(E->getCallee()->clone(), std::move(Args),
@@ -132,6 +133,7 @@ StmtPtr Stmt::clone() const {
   case StmtKind::Block: {
     const auto *S = cast<BlockStmt>(this);
     auto B = std::make_unique<BlockStmt>(Loc);
+    B->getStmts().reserve(S->getStmts().size());
     for (const StmtPtr &Sub : S->getStmts())
       B->append(Sub->clone());
     Out = std::move(B);
@@ -159,6 +161,7 @@ StmtPtr Stmt::clone() const {
   case StmtKind::Async: {
     const auto *S = cast<AsyncStmt>(this);
     std::vector<ExprPtr> Args;
+    Args.reserve(S->getArgs().size());
     for (const ExprPtr &A : S->getArgs())
       Args.push_back(A->clone());
     Out = std::make_unique<AsyncStmt>(S->getCallee()->clone(), std::move(Args),
@@ -196,6 +199,7 @@ StmtPtr Stmt::clone() const {
   case StmtKind::Choice: {
     const auto *S = cast<ChoiceStmt>(this);
     std::vector<StmtPtr> Branches;
+    Branches.reserve(S->getBranches().size());
     for (const StmtPtr &B : S->getBranches())
       Branches.push_back(B->clone());
     Out = std::make_unique<ChoiceStmt>(std::move(Branches), Loc);

@@ -14,7 +14,9 @@
 ///
 /// Nodes use an LLVM-style Kind tag with isa<>/cast<>/dyn_cast<> helpers and
 /// are owned through std::unique_ptr by their parents; a Program owns all
-/// top-level declarations.
+/// top-level declarations. Expression and statement nodes take their memory
+/// from per-thread free lists (see allocateNode), because every check
+/// builds and drops a few hundred of them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +27,7 @@
 #include "support/SourceLoc.h"
 #include "support/Symbol.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -40,6 +43,29 @@ class Program;
 
 using ExprPtr = std::unique_ptr<Expr>;
 using StmtPtr = std::unique_ptr<Stmt>;
+
+//===----------------------------------------------------------------------===//
+// Node memory
+//===----------------------------------------------------------------------===//
+
+/// Memory for one Expr or Stmt node of \p Size bytes. Small sizes come from
+/// the calling thread's free list for that size when it has a block, and
+/// from the global allocator otherwise. Under AddressSanitizer every
+/// request goes to the global allocator, so a use of a freed node is still
+/// trapped.
+void *allocateNode(size_t Size);
+
+/// Returns \p Size bytes of node memory to the calling thread's free list,
+/// or to the global allocator once the thread holds MaxRetainedNodeBytes
+/// or has begun to exit. Any thread may free a node, whichever thread
+/// allocated it; a thread's free lists are released when it exits.
+void deallocateNode(void *P, size_t Size) noexcept;
+
+/// The most node memory one thread keeps for reuse.
+constexpr size_t MaxRetainedNodeBytes = 512 * 1024;
+
+/// \returns the node memory the calling thread keeps for reuse.
+size_t retainedNodeBytes();
 
 //===----------------------------------------------------------------------===//
 // Casting helpers
@@ -118,6 +144,11 @@ enum class ExprKind : uint8_t {
 class Expr {
 public:
   virtual ~Expr() = default;
+
+  static void *operator new(size_t Size) { return allocateNode(Size); }
+  static void operator delete(void *P, size_t Size) {
+    deallocateNode(P, Size);
+  }
 
   ExprKind getKind() const { return Kind; }
   SourceLoc getLoc() const { return Loc; }
@@ -428,6 +459,11 @@ enum class InstrRole : uint8_t {
 class Stmt {
 public:
   virtual ~Stmt() = default;
+
+  static void *operator new(size_t Size) { return allocateNode(Size); }
+  static void operator delete(void *P, size_t Size) {
+    deallocateNode(P, Size);
+  }
 
   StmtKind getKind() const { return Kind; }
   SourceLoc getLoc() const { return Loc; }
@@ -804,6 +840,9 @@ public:
 
   /// Registers a new local slot and returns its index.
   uint32_t addLocal(VarDecl V) {
+    // Most functions have a handful of locals: skip the first doublings.
+    if (Locals.empty())
+      Locals.reserve(8);
     Locals.push_back(std::move(V));
     return Locals.size() - 1;
   }
@@ -868,6 +907,8 @@ public:
 
   //===--- Functions ---===//
   FuncDecl *addFunction(Symbol Name, const Type *RetTy, SourceLoc Loc) {
+    if (Funcs.empty())
+      Funcs.reserve(16);
     Funcs.push_back(std::make_unique<FuncDecl>(Name, RetTy, Loc));
     return Funcs.back().get();
   }

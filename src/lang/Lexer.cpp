@@ -9,8 +9,8 @@
 #include "support/Diagnostics.h"
 #include "support/SourceManager.h"
 
-#include <cctype>
-#include <unordered_map>
+#include <array>
+#include <iterator>
 
 using namespace kiss;
 using namespace kiss::lang;
@@ -119,6 +119,102 @@ const char *kiss::lang::getTokenKindName(TokenKind Kind) {
   return "<?>";
 }
 
+namespace {
+
+/// Character classes of the bytes the lexer dispatches on. Only ASCII
+/// bytes have one, exactly as under <cctype> in the "C" locale, so a byte
+/// >= 0x80 is an unexpected character.
+enum : uint8_t {
+  CharSpace = 1,      ///< ' ', '\t', '\n', '\v', '\f', '\r'.
+  CharDigit = 2,      ///< '0'-'9'.
+  CharIdentStart = 4, ///< Letters and '_'.
+  CharIdent = CharDigit | CharIdentStart,
+};
+
+constexpr std::array<uint8_t, 256> makeCharClasses() {
+  std::array<uint8_t, 256> T{};
+  for (char C : {' ', '\t', '\n', '\v', '\f', '\r'})
+    T[static_cast<unsigned char>(C)] = CharSpace;
+  for (int C = '0'; C <= '9'; ++C)
+    T[C] = CharDigit;
+  for (int C = 'a'; C <= 'z'; ++C)
+    T[C] = T[C - 'a' + 'A'] = CharIdentStart;
+  T['_'] = CharIdentStart;
+  return T;
+}
+
+constexpr std::array<uint8_t, 256> CharClasses = makeCharClasses();
+
+bool hasClass(char C, uint8_t Mask) {
+  return CharClasses[static_cast<unsigned char>(C)] & Mask;
+}
+
+struct Keyword {
+  std::string_view Spelling;
+  TokenKind Kind;
+};
+
+/// The keywords, ordered by length so that the candidates for a word are
+/// one contiguous run.
+constexpr Keyword Keywords[] = {
+    {"if", TokenKind::KwIf},
+    {"or", TokenKind::KwOr},
+    {"int", TokenKind::KwInt},
+    {"new", TokenKind::KwNew},
+    {"void", TokenKind::KwVoid},
+    {"bool", TokenKind::KwBool},
+    {"func", TokenKind::KwFunc},
+    {"true", TokenKind::KwTrue},
+    {"null", TokenKind::KwNull},
+    {"else", TokenKind::KwElse},
+    {"iter", TokenKind::KwIter},
+    {"skip", TokenKind::KwSkip},
+    {"false", TokenKind::KwFalse},
+    {"while", TokenKind::KwWhile},
+    {"async", TokenKind::KwAsync},
+    {"struct", TokenKind::KwStruct},
+    {"return", TokenKind::KwReturn},
+    {"assert", TokenKind::KwAssert},
+    {"assume", TokenKind::KwAssume},
+    {"atomic", TokenKind::KwAtomic},
+    {"benign", TokenKind::KwBenign},
+    {"choice", TokenKind::KwChoice},
+    {"nondet_int", TokenKind::KwNondetInt},
+    {"nondet_bool", TokenKind::KwNondetBool},
+};
+
+static_assert(std::size(Keywords) == 24, "one entry per keyword token");
+
+constexpr size_t MaxKeywordLength = 11;
+
+/// KeywordStart[L] .. KeywordStart[L + 1] are the keywords of length L.
+constexpr std::array<uint8_t, MaxKeywordLength + 2> makeKeywordStarts() {
+  std::array<uint8_t, MaxKeywordLength + 2> Starts{};
+  for (size_t L = 0; L != Starts.size(); ++L) {
+    uint8_t I = 0;
+    while (I != std::size(Keywords) && Keywords[I].Spelling.size() < L)
+      ++I;
+    Starts[L] = I;
+  }
+  return Starts;
+}
+
+constexpr std::array<uint8_t, MaxKeywordLength + 2> KeywordStart =
+    makeKeywordStarts();
+
+TokenKind classifyWord(std::string_view Word) {
+  if (Word.size() > MaxKeywordLength)
+    return TokenKind::Identifier;
+  for (unsigned I = KeywordStart[Word.size()],
+                E = KeywordStart[Word.size() + 1];
+       I != E; ++I)
+    if (Keywords[I].Spelling == Word)
+      return Keywords[I].Kind;
+  return TokenKind::Identifier;
+}
+
+} // namespace
+
 Lexer::Lexer(const SourceManager &SM, uint32_t BufferId,
              DiagnosticEngine &Diags)
     : Text(SM.getBufferText(BufferId)), BufferId(BufferId), Diags(Diags) {}
@@ -140,7 +236,7 @@ SourceLoc Lexer::locAt(uint32_t Offset) const {
 void Lexer::skipTrivia() {
   while (!atEnd()) {
     char C = peek();
-    if (std::isspace(static_cast<unsigned char>(C))) {
+    if (hasClass(C, CharSpace)) {
       ++Pos;
       continue;
     }
@@ -175,48 +271,16 @@ Token Lexer::makeToken(TokenKind Kind, uint32_t Begin) {
 
 Token Lexer::lexIdentifierOrKeyword() {
   uint32_t Begin = Pos;
-  while (!atEnd() && (std::isalnum(static_cast<unsigned char>(peek())) ||
-                      peek() == '_'))
+  while (!atEnd() && hasClass(Text[Pos], CharIdent))
     ++Pos;
-  std::string_view Word = Text.substr(Begin, Pos - Begin);
-
-  static const std::unordered_map<std::string_view, TokenKind> Keywords = {
-      {"struct", TokenKind::KwStruct},
-      {"void", TokenKind::KwVoid},
-      {"bool", TokenKind::KwBool},
-      {"int", TokenKind::KwInt},
-      {"func", TokenKind::KwFunc},
-      {"true", TokenKind::KwTrue},
-      {"false", TokenKind::KwFalse},
-      {"null", TokenKind::KwNull},
-      {"if", TokenKind::KwIf},
-      {"else", TokenKind::KwElse},
-      {"while", TokenKind::KwWhile},
-      {"return", TokenKind::KwReturn},
-      {"assert", TokenKind::KwAssert},
-      {"assume", TokenKind::KwAssume},
-      {"atomic", TokenKind::KwAtomic},
-      {"async", TokenKind::KwAsync},
-      {"benign", TokenKind::KwBenign},
-      {"choice", TokenKind::KwChoice},
-      {"or", TokenKind::KwOr},
-      {"iter", TokenKind::KwIter},
-      {"skip", TokenKind::KwSkip},
-      {"new", TokenKind::KwNew},
-      {"nondet_int", TokenKind::KwNondetInt},
-      {"nondet_bool", TokenKind::KwNondetBool},
-  };
-
-  auto It = Keywords.find(Word);
-  return makeToken(It == Keywords.end() ? TokenKind::Identifier : It->second,
-                   Begin);
+  return makeToken(classifyWord(Text.substr(Begin, Pos - Begin)), Begin);
 }
 
 Token Lexer::lexNumber() {
   uint32_t Begin = Pos;
   int64_t Value = 0;
   bool Overflow = false;
-  while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek()))) {
+  while (!atEnd() && hasClass(peek(), CharDigit)) {
     int Digit = advance() - '0';
     if (Value > (INT64_MAX - Digit) / 10)
       Overflow = true;
@@ -238,9 +302,9 @@ Token Lexer::next() {
   uint32_t Begin = Pos;
   char C = peek();
 
-  if (std::isalpha(static_cast<unsigned char>(C)) || C == '_')
+  if (hasClass(C, CharIdentStart))
     return lexIdentifierOrKeyword();
-  if (std::isdigit(static_cast<unsigned char>(C)))
+  if (hasClass(C, CharDigit))
     return lexNumber();
 
   ++Pos;

@@ -9,6 +9,8 @@
 #include "support/Diagnostics.h"
 #include "support/SourceManager.h"
 
+#include <iterator>
+
 using namespace kiss;
 using namespace kiss::lang;
 
@@ -265,19 +267,27 @@ StmtPtr Parser::parseBlock() {
   SourceLoc Loc = Tok.Loc;
   if (!expect(TokenKind::LBrace))
     return nullptr;
-  auto Block = std::make_unique<BlockStmt>(Loc);
+  // The statements of every open block wait on one stack; a closed block
+  // takes its run in one allocation of exactly its size.
+  size_t Begin = Pending.size();
   while (!Tok.is(TokenKind::RBrace)) {
     if (Tok.is(TokenKind::Eof)) {
       Diags.error(Tok.Loc, "unterminated block");
+      Pending.erase(Pending.begin() + Begin, Pending.end());
       return nullptr;
     }
     StmtPtr S = parseStmt();
-    if (!S)
+    if (!S) {
+      Pending.erase(Pending.begin() + Begin, Pending.end());
       return nullptr;
-    Block->append(std::move(S));
+    }
+    Pending.push_back(std::move(S));
   }
   consume(); // '}'
-  return Block;
+  std::vector<StmtPtr> Stmts(std::make_move_iterator(Pending.begin() + Begin),
+                             std::make_move_iterator(Pending.end()));
+  Pending.erase(Pending.begin() + Begin, Pending.end());
+  return std::make_unique<BlockStmt>(std::move(Stmts), Loc);
 }
 
 StmtPtr Parser::parseDeclStmt() {

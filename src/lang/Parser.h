@@ -86,6 +86,8 @@ private:
 
   /// Struct names declared so far; used to recognize declaration statements.
   std::set<Symbol> KnownStructNames;
+  /// Parsed statements of the blocks still open, outermost first.
+  std::vector<StmtPtr> Pending;
 };
 
 /// Convenience: parse \p Source (registered as \p Name in \p SM) into a

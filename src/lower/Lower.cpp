@@ -8,7 +8,7 @@
 
 #include "support/Diagnostics.h"
 
-#include <set>
+#include <algorithm>
 
 using namespace kiss;
 using namespace kiss::lang;
@@ -590,33 +590,79 @@ bool FunctionLowerer::run() {
 
 namespace {
 
-/// Renames duplicate local names (shadowed declarations become distinct
-/// hoisted slots) so that printed programs reparse, then re-synchronizes the
-/// cosmetic names stored in local VarRefs with their slots.
-void uniquifyLocalNames(Program &P, FuncDecl &F) {
-  SymbolTable &Syms = P.getSymbolTable();
-  std::set<std::string> Used;
-  // Avoid colliding with globals and functions too.
-  for (const GlobalDecl &G : P.getGlobals())
-    Used.insert(std::string(Syms.str(G.Name)));
-  for (const auto &Fn : P.getFunctions())
-    Used.insert(std::string(Syms.str(Fn->getName())));
-
-  for (VarDecl &L : F.getLocals()) {
-    std::string Name(Syms.str(L.Name));
-    if (Used.insert(Name).second)
-      continue;
-    unsigned Suffix = 2;
-    std::string Fresh;
-    do {
-      Fresh = Name + "__" + std::to_string(Suffix++);
-    } while (!Used.insert(Fresh).second);
-    L.Name = Syms.intern(Fresh);
+/// Which names a function's locals may no longer take, indexed by Symbol:
+/// every global and function name, plus the names already given to the
+/// current function's locals. Built once per program; a function's marks
+/// are told apart from the last one's by a per-function stamp, so nothing
+/// is cleared between functions.
+class UsedNames {
+public:
+  explicit UsedNames(const Program &P) : Syms(P.getSymbolTable()) {
+    for (const GlobalDecl &G : P.getGlobals())
+      mark(G.Name, Global);
+    for (const auto &Fn : P.getFunctions())
+      mark(Fn->getName(), Global);
   }
-}
+
+  /// Renames duplicate local names of \p F (shadowed declarations become
+  /// distinct hoisted slots) so that printed programs reparse. A clash
+  /// becomes Name__2, Name__3, ... the first spelling not yet taken.
+  void uniquifyLocals(FuncDecl &F) {
+    ++Stamp;
+    std::string Fresh;
+    for (VarDecl &L : F.getLocals()) {
+      if (tryTake(L.Name))
+        continue;
+      std::string_view Name = Syms.str(L.Name);
+      unsigned Suffix = 2;
+      Symbol S;
+      do {
+        Fresh.assign(Name);
+        Fresh += "__";
+        Fresh += std::to_string(Suffix++);
+        // A spelling never interned is taken by no one.
+        S = Syms.lookup(Fresh);
+      } while (S.isValid() && !tryTake(S));
+      if (!S.isValid()) {
+        S = Syms.intern(Fresh);
+        mark(S, Stamp);
+      }
+      L.Name = S;
+    }
+  }
+
+private:
+  static constexpr uint32_t Global = ~0u;
+
+  void mark(Symbol S, uint32_t By) {
+    if (S.getIndex() >= Marks.size())
+      Marks.resize(std::max<size_t>(S.getIndex() + 1, Syms.size()), 0);
+    Marks[S.getIndex()] = By;
+  }
+
+  /// Takes \p S for the current function's local. \returns false if a
+  /// global, a function or an earlier local of this function has it.
+  bool tryTake(Symbol S) {
+    if (S.getIndex() < Marks.size()) {
+      uint32_t M = Marks[S.getIndex()];
+      if (M == Global || M == Stamp)
+        return false;
+    }
+    mark(S, Stamp);
+    return true;
+  }
+
+  SymbolTable &Syms;
+  /// Per Symbol: Global, the stamp of the function that last took it as a
+  /// local name, or 0.
+  std::vector<uint32_t> Marks;
+  uint32_t Stamp = 0;
+};
 
 void fixupVarRefNames(const FuncDecl &F, Expr *E);
 
+/// Re-synchronizes the cosmetic names stored in local VarRefs with their
+/// (possibly renamed) slots.
 void fixupVarRefNames(const FuncDecl &F, Stmt *S) {
   switch (S->getKind()) {
   case StmtKind::Block:
@@ -706,10 +752,11 @@ void fixupVarRefNames(const FuncDecl &F, Expr *E) {
 
 bool kiss::lower::lowerProgram(Program &P, DiagnosticEngine &Diags) {
   bool Ok = true;
+  UsedNames Used(P);
   for (const auto &F : P.getFunctions()) {
     FunctionLowerer L(P, *F, Diags);
     Ok &= L.run();
-    uniquifyLocalNames(P, *F);
+    Used.uniquifyLocals(*F);
     fixupVarRefNames(*F, F->getBody());
   }
   return Ok && !Diags.hasErrors();

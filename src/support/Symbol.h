@@ -14,12 +14,11 @@
 #ifndef KISS_SUPPORT_SYMBOL_H
 #define KISS_SUPPORT_SYMBOL_H
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 namespace kiss {
 
@@ -47,9 +46,22 @@ private:
   uint32_t Index = InvalidIndex;
 };
 
-/// Interns strings into Symbols and resolves them back.
+/// Interns strings into Symbols and resolves them back. Ids are handed out
+/// densely in first-intern order. Spellings live in a character arena of
+/// fixed-size blocks that never move, so a view returned by str() stays
+/// valid for the table's lifetime; an open-addressing index of ids finds
+/// them by hash.
 class SymbolTable {
 public:
+  /// Bytes per arena block. A spelling longer than a quarter block gets a
+  /// block of its own.
+  static constexpr size_t BlockBytes = 4096;
+
+  SymbolTable() = default;
+  SymbolTable(const SymbolTable &) = delete;
+  SymbolTable &operator=(const SymbolTable &) = delete;
+  ~SymbolTable();
+
   /// Interns \p Name, returning the unique Symbol for it.
   Symbol intern(std::string_view Name);
 
@@ -60,13 +72,35 @@ public:
   /// \returns the spelling of \p Sym; "<invalid>" for the sentinel.
   std::string_view str(Symbol Sym) const;
 
-  unsigned size() const { return Strings.size(); }
+  unsigned size() const { return Entries.size(); }
 
 private:
-  /// Deque gives element stability: string_view keys into stored strings
-  /// stay valid as the table grows.
-  std::deque<std::string> Strings;
-  std::unordered_map<std::string_view, uint32_t> Map;
+  struct Entry {
+    const char *Data;
+    uint32_t Size;
+    uint32_t Hash;
+  };
+  /// An arena block: this header, then its bytes.
+  struct Block {
+    Block *Prev;
+  };
+
+  /// \returns the index slot holding \p Name's id + 1, or else the empty
+  /// slot where it belongs. The index must not be empty.
+  size_t findSlot(std::string_view Name, uint32_t Hash) const;
+  /// Doubles the index (or creates it) and reinserts every id.
+  void growIndex();
+  /// Copies \p Name into the arena and \returns the copy.
+  const char *store(std::string_view Name);
+  char *newBlock(size_t Bytes);
+
+  std::vector<Entry> Entries;
+  /// Open addressing with linear probing: 0 is empty, else id + 1. A power
+  /// of two in size, at most half full.
+  std::vector<uint32_t> Index;
+  Block *Last = nullptr;
+  char *Cur = nullptr;
+  size_t Left = 0;
 };
 
 } // namespace kiss

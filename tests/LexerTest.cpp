@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <utility>
+
 using namespace kiss;
 using namespace kiss::lang;
 
@@ -128,6 +131,77 @@ TEST(LexerTest, UnexpectedCharacterDiagnosed) {
   DiagnosticEngine Diags;
   lexAll("a $ b", &Diags);
   EXPECT_TRUE(Diags.hasErrors());
+}
+
+TEST(LexerTest, EveryKeywordLexesAsItself) {
+  const std::pair<const char *, TokenKind> Keywords[] = {
+      {"struct", TokenKind::KwStruct},
+      {"void", TokenKind::KwVoid},
+      {"bool", TokenKind::KwBool},
+      {"int", TokenKind::KwInt},
+      {"func", TokenKind::KwFunc},
+      {"true", TokenKind::KwTrue},
+      {"false", TokenKind::KwFalse},
+      {"null", TokenKind::KwNull},
+      {"if", TokenKind::KwIf},
+      {"else", TokenKind::KwElse},
+      {"while", TokenKind::KwWhile},
+      {"return", TokenKind::KwReturn},
+      {"assert", TokenKind::KwAssert},
+      {"assume", TokenKind::KwAssume},
+      {"atomic", TokenKind::KwAtomic},
+      {"async", TokenKind::KwAsync},
+      {"benign", TokenKind::KwBenign},
+      {"choice", TokenKind::KwChoice},
+      {"or", TokenKind::KwOr},
+      {"iter", TokenKind::KwIter},
+      {"skip", TokenKind::KwSkip},
+      {"new", TokenKind::KwNew},
+      {"nondet_int", TokenKind::KwNondetInt},
+      {"nondet_bool", TokenKind::KwNondetBool},
+  };
+  EXPECT_EQ(std::size(Keywords), 24u);
+  for (const auto &[Spelling, Kind] : Keywords) {
+    auto Toks = lexAll(Spelling);
+    ASSERT_EQ(Toks.size(), 2u) << Spelling;
+    EXPECT_EQ(Toks[0].Kind, Kind) << Spelling;
+    EXPECT_EQ(Toks[0].Text, Spelling);
+  }
+}
+
+TEST(LexerTest, KeywordLookalikesAreIdentifiers) {
+  for (const char *Word : {"ints", "iff", "nondet_int2", "Int", "_if"}) {
+    auto Toks = lexAll(Word);
+    ASSERT_EQ(Toks.size(), 2u) << Word;
+    EXPECT_EQ(Toks[0].Kind, TokenKind::Identifier) << Word;
+    EXPECT_EQ(Toks[0].Text, Word);
+  }
+}
+
+/// Lexes \p Source and \returns its one diagnostic as "line:col: message".
+std::string onlyDiagnostic(const std::string &Source) {
+  SourceManager SM;
+  DiagnosticEngine Diags;
+  uint32_t Id = SM.addBuffer("bad.kiss", Source);
+  Lexer L(SM, Id, Diags);
+  while (!L.next().is(TokenKind::Eof)) {
+  }
+  if (Diags.getDiagnostics().size() != 1)
+    return "expected one diagnostic, got " +
+           std::to_string(Diags.getDiagnostics().size());
+  const Diagnostic &D = Diags.getDiagnostics().front();
+  PresumedLoc P = SM.getPresumedLoc(D.Loc);
+  return std::to_string(P.Line) + ":" + std::to_string(P.Column) + ": " +
+         D.Message;
+}
+
+TEST(LexerTest, HighByteDiagnosedAtItsLocation) {
+  EXPECT_EQ(onlyDiagnostic("a\n  b \x80 c"),
+            "2:5: unexpected character '\x80'");
+}
+
+TEST(LexerTest, LoneDollarDiagnosedAtItsLocation) {
+  EXPECT_EQ(onlyDiagnostic("x = 1;\ny $ z"), "2:3: unexpected character '$'");
 }
 
 TEST(LexerTest, LocationsTrackLinesAndColumns) {

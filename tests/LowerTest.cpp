@@ -156,6 +156,58 @@ TEST(LowerTest, ShadowedLocalsGetDistinctNames) {
   EXPECT_NE(Locals[0].Name, Locals[1].Name);
 }
 
+/// \returns the spellings of \p F's locals, in slot order.
+std::vector<std::string> localNames(const Compiled &C, const char *F) {
+  std::vector<std::string> Out;
+  const FuncDecl *Fn = C.Program->getFunction(C.Ctx->Syms.lookup(F));
+  for (const VarDecl &L : Fn->getLocals())
+    Out.push_back(std::string(C.Ctx->Syms.str(L.Name)));
+  return Out;
+}
+
+TEST(LowerTest, LocalNamedLikeAGlobalOrFunctionIsRenamed) {
+  auto C = compile(R"(
+    int g;
+    void helper() { }
+    void main() {
+      int g = 1;
+      int helper = 2;
+      g = helper;
+    }
+  )");
+  ASSERT_TRUE(C);
+  EXPECT_EQ(localNames(C, "main"),
+            (std::vector<std::string>{"g__2", "helper__2"}));
+}
+
+TEST(LowerTest, UserLocalSpelledLikeARenameDoesNotCollide) {
+  auto C = compile(R"(
+    void main() {
+      int x = 1;
+      { int x = 2; }
+      int x__2 = 3;
+    }
+  )");
+  ASSERT_TRUE(C);
+  EXPECT_EQ(localNames(C, "main"),
+            (std::vector<std::string>{"x", "x__2", "x__2__2"}));
+  std::string Printed = printProgram(*C.Program);
+  lower::CompilerContext Ctx2;
+  EXPECT_TRUE(lower::compileToCore(Ctx2, "reparse.kiss", Printed))
+      << Printed << Ctx2.renderDiagnostics();
+}
+
+TEST(LowerTest, FunctionsKeepTheirOwnLocalNames) {
+  auto C = compile(R"(
+    void f() { int a = 1; int b = a; }
+    void main() { int a = 2; int b = a; f(); }
+  )");
+  ASSERT_TRUE(C);
+  std::vector<std::string> Expected = {"a", "b"};
+  EXPECT_EQ(localNames(C, "f"), Expected);
+  EXPECT_EQ(localNames(C, "main"), Expected);
+}
+
 TEST(LowerTest, LoweredProgramPrintsAndReparses) {
   auto C = compile(R"(
     struct Dev { int pendingIo; bool stoppingFlag; }

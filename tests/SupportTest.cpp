@@ -55,6 +55,57 @@ TEST(SymbolTableTest, ManySymbolsStayStable) {
   }
 }
 
+TEST(SymbolTableTest, TenThousandNamesKeepIdsAndSpellings) {
+  SymbolTable T;
+  for (uint32_t I = 0; I != 10000; ++I)
+    ASSERT_EQ(T.intern("name_" + std::to_string(I)).getIndex(), I);
+  EXPECT_EQ(T.size(), 10000u);
+  for (uint32_t I = 0; I != 10000; ++I) {
+    std::string Name = "name_" + std::to_string(I);
+    Symbol S = T.lookup(Name);
+    ASSERT_TRUE(S.isValid()) << Name;
+    EXPECT_EQ(S.getIndex(), I);
+    EXPECT_EQ(T.str(S), Name);
+    EXPECT_EQ(T.intern(Name), S);
+  }
+  EXPECT_EQ(T.size(), 10000u);
+}
+
+TEST(SymbolTableTest, LookupOfMissingNameFindsNothing) {
+  SymbolTable T;
+  for (int I = 0; I != 3000; ++I)
+    T.intern("v" + std::to_string(I));
+  EXPECT_FALSE(T.lookup("v3000").isValid());
+  EXPECT_FALSE(T.lookup("").isValid());
+  EXPECT_FALSE(T.lookup("v").isValid());
+  EXPECT_EQ(T.size(), 3000u);
+}
+
+TEST(SymbolTableTest, NameLongerThanAStorageBlockInterns) {
+  SymbolTable T;
+  Symbol Short = T.intern("short");
+  std::string Long(3 * SymbolTable::BlockBytes + 7, 'q');
+  Long.back() = 'z';
+  Symbol L = T.intern(Long);
+  Symbol After = T.intern("after");
+  EXPECT_EQ(T.str(L), Long);
+  EXPECT_EQ(T.lookup(Long), L);
+  EXPECT_EQ(T.intern(Long), L);
+  EXPECT_EQ(T.str(Short), "short");
+  EXPECT_EQ(T.str(After), "after");
+  EXPECT_EQ(T.size(), 3u);
+}
+
+TEST(SymbolTableTest, ViewTakenBeforeGrowthStaysValid) {
+  SymbolTable T;
+  std::string_view First = T.str(T.intern("first"));
+  const char *Data = First.data();
+  for (int I = 0; I != 10000; ++I)
+    T.intern("grow" + std::to_string(I));
+  EXPECT_EQ(First, "first");
+  EXPECT_EQ(T.str(T.lookup("first")).data(), Data);
+}
+
 TEST(SourceManagerTest, LineAndColumnResolution) {
   SourceManager SM;
   uint32_t Id = SM.addBuffer("f.kiss", "abc\ndef\n\nghi");
