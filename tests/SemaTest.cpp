@@ -226,4 +226,77 @@ TEST(SemaTest, NondetRangeLimitEnforced) {
   EXPECT_NE(E.find("range"), std::string::npos) << E;
 }
 
+/// The variables assigned in \p S, in source order, through nested blocks.
+void collectAssignedIds(const Stmt *S, std::vector<VarId> &Out) {
+  if (const auto *B = dyn_cast<BlockStmt>(S)) {
+    for (const StmtPtr &Child : B->getStmts())
+      collectAssignedIds(Child.get(), Out);
+  } else if (const auto *A = dyn_cast<AssignStmt>(S)) {
+    Out.push_back(cast<VarRefExpr>(A->getLHS())->getVarId());
+  }
+}
+
+std::vector<VarId> assignedIds(const Compiled &C, const char *Func) {
+  std::vector<VarId> Ids;
+  Symbol Name = C.Ctx->Syms.lookup(Func);
+  collectAssignedIds(C.Program->getFunction(Name)->getBody(), Ids);
+  return Ids;
+}
+
+TEST(SemaTest, NestedShadowingResolvesInnermostFirst) {
+  auto C = parseOnly(R"(
+    int x;
+    void main() {
+      x = 0;
+      int x = 1;
+      {
+        x = 2;
+        int x = 3;
+        { x = 4; int x = 5; x = 6; }
+        x = 7;
+      }
+      x = 8;
+    }
+    void f() { x = 9; }
+  )");
+  ASSERT_TRUE(C) << C.diagnostics();
+  VarId G{VarScope::Global, 0};
+  VarId L0{VarScope::Local, 0}, L1{VarScope::Local, 1}, L2{VarScope::Local, 2};
+  std::vector<VarId> Main = assignedIds(C, "main");
+  std::vector<VarId> Expected = {G, L0, L1, L2, L1, L0};
+  ASSERT_EQ(Main.size(), Expected.size());
+  for (size_t I = 0; I != Main.size(); ++I)
+    EXPECT_TRUE(Main[I] == Expected[I])
+        << "assignment " << I << ": scope " << int(Main[I].Scope)
+        << ", index " << Main[I].Index;
+  // main's locals are out of scope in the next function.
+  std::vector<VarId> F = assignedIds(C, "f");
+  ASSERT_EQ(F.size(), 1u);
+  EXPECT_TRUE(F[0] == G);
+}
+
+TEST(SemaTest, ThousandsOfLocalsInOneScope) {
+  constexpr unsigned N = 20000;
+  std::string Decls;
+  for (unsigned I = 0; I != N; ++I)
+    Decls += "int v" + std::to_string(I) + " = " + std::to_string(I % 7) +
+             "; ";
+  std::string Uses;
+  for (unsigned I = N; I-- != 0;)
+    Uses += "v" + std::to_string(I) + " = g; ";
+
+  auto C = parseOnly("int g; void main() { " + Decls + Uses + "}");
+  ASSERT_TRUE(C) << C.diagnostics();
+  std::vector<VarId> Ids = assignedIds(C, "main");
+  ASSERT_EQ(Ids.size(), N);
+  for (unsigned I = 0; I != N; ++I)
+    ASSERT_TRUE(Ids[I] == (VarId{VarScope::Local, N - 1 - I})) << I;
+
+  auto Redefined = parseOnly("void main() { " + Decls + "bool v123; }");
+  EXPECT_FALSE(Redefined);
+  EXPECT_NE(Redefined.diagnostics().find("redefinition of 'v123'"),
+            std::string::npos)
+      << Redefined.diagnostics();
+}
+
 } // namespace
