@@ -24,7 +24,8 @@ public:
   void run() {
     for (uint32_t FI = 0, E = P.getFunctions().size(); FI != E; ++FI) {
       CurFunc = FI;
-      visitStmt(P.getFunctions()[FI]->getBody());
+      forEachStmtPreorder(P.getFunctions()[FI]->getBody(),
+                          [this](const Stmt *S) { visitStmt(S); });
     }
   }
 
@@ -248,10 +249,6 @@ private:
 
   void visitStmt(const Stmt *S) {
     switch (S->getKind()) {
-    case StmtKind::Block:
-      for (const StmtPtr &Sub : cast<BlockStmt>(S)->getStmts())
-        visitStmt(Sub.get());
-      return;
     case StmtKind::Assign:
       visitAssign(cast<AssignStmt>(S));
       return;
@@ -263,16 +260,6 @@ private:
       bindCall(A->getCallee(), A->getArgs(), ~0u);
       return;
     }
-    case StmtKind::Atomic:
-      visitStmt(cast<AtomicStmt>(S)->getBody());
-      return;
-    case StmtKind::Choice:
-      for (const StmtPtr &B : cast<ChoiceStmt>(S)->getBranches())
-        visitStmt(B.get());
-      return;
-    case StmtKind::Iter:
-      visitStmt(cast<IterStmt>(S)->getBody());
-      return;
     case StmtKind::Return: {
       const auto *Ret = cast<ReturnStmt>(S);
       if (Ret->getValue()) {

@@ -28,43 +28,23 @@ const char *describeNonBoolType(const Type *Ty) {
   return "non-bool";
 }
 
-/// \returns the first async statement in \p S (or a nested block), null if
-/// none. Also finds non-bool surface declarations via \p BadDecl.
+/// \returns the first async statement in \p S (or a nested statement),
+/// null if none. Also finds the first non-bool surface declaration before
+/// it via \p BadDecl.
 const Stmt *findAsyncOrBadDecl(const Stmt *S, const Stmt *&BadDecl) {
+  const Stmt *Async = nullptr;
   if (!S)
-    return nullptr;
-  switch (S->getKind()) {
-  case StmtKind::Async:
-    return S;
-  case StmtKind::Decl:
-    if (!BadDecl && !cast<DeclStmt>(S)->getDeclType()->isBool())
-      BadDecl = S;
-    return nullptr;
-  case StmtKind::Block:
-    for (const StmtPtr &Sub : cast<BlockStmt>(S)->getStmts())
-      if (const Stmt *A = findAsyncOrBadDecl(Sub.get(), BadDecl))
-        return A;
-    return nullptr;
-  case StmtKind::Atomic:
-    return findAsyncOrBadDecl(cast<AtomicStmt>(S)->getBody(), BadDecl);
-  case StmtKind::If: {
-    const auto *I = cast<IfStmt>(S);
-    if (const Stmt *A = findAsyncOrBadDecl(I->getThen(), BadDecl))
-      return A;
-    return findAsyncOrBadDecl(I->getElse(), BadDecl);
-  }
-  case StmtKind::While:
-    return findAsyncOrBadDecl(cast<WhileStmt>(S)->getBody(), BadDecl);
-  case StmtKind::Choice:
-    for (const StmtPtr &Br : cast<ChoiceStmt>(S)->getBranches())
-      if (const Stmt *A = findAsyncOrBadDecl(Br.get(), BadDecl))
-        return A;
-    return nullptr;
-  case StmtKind::Iter:
-    return findAsyncOrBadDecl(cast<IterStmt>(S)->getBody(), BadDecl);
-  default:
-    return nullptr;
-  }
+    return Async;
+  forEachStmtPreorder(S, [&](const Stmt *Sub) {
+    if (Async)
+      return;
+    if (isa<AsyncStmt>(Sub))
+      Async = Sub;
+    else if (const auto *D = dyn_cast<DeclStmt>(Sub);
+             D && !BadDecl && !D->getDeclType()->isBool())
+      BadDecl = Sub;
+  });
+  return Async;
 }
 
 } // namespace

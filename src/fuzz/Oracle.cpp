@@ -73,42 +73,16 @@ struct AsyncShape {
 void scanStmt(const lang::Stmt *S, bool InLoop, bool InEntry, AsyncShape &A) {
   if (!S)
     return;
-  using lang::StmtKind;
-  switch (S->getKind()) {
-  case StmtKind::Async:
+  if (isa<lang::AsyncStmt>(S)) {
     ++A.Count;
     if (InLoop || !InEntry)
       A.Unbounded = true;
     return;
-  case StmtKind::Block:
-    for (const auto &C : cast<lang::BlockStmt>(S)->getStmts())
-      scanStmt(C.get(), InLoop, InEntry, A);
-    return;
-  case StmtKind::If: {
-    const auto *I = cast<lang::IfStmt>(S);
-    scanStmt(I->getThen(), InLoop, InEntry, A);
-    scanStmt(I->getElse(), InLoop, InEntry, A);
-    return;
   }
-  case StmtKind::While:
-    scanStmt(cast<lang::WhileStmt>(S)->getBody(), true, InEntry,
-             A);
-    return;
-  case StmtKind::Iter:
-    scanStmt(cast<lang::IterStmt>(S)->getBody(), true, InEntry,
-             A);
-    return;
-  case StmtKind::Choice:
-    for (const auto &B : cast<lang::ChoiceStmt>(S)->getBranches())
-      scanStmt(B.get(), InLoop, InEntry, A);
-    return;
-  case StmtKind::Atomic:
-    scanStmt(cast<lang::AtomicStmt>(S)->getBody(), InLoop,
-             InEntry, A);
-    return;
-  default:
-    return;
-  }
+  bool Loop = InLoop || isa<lang::WhileStmt>(S) || isa<lang::IterStmt>(S);
+  lang::forEachSubStmt(S, [&](const lang::Stmt *Sub) {
+    scanStmt(Sub, Loop, InEntry, A);
+  });
 }
 
 AsyncShape analyzeAsyncShape(const lang::Program &P) {

@@ -111,13 +111,22 @@ struct CoreValidator {
     return false;
   }
 
+  /// Checks \p S and, stopping at the first failure, the statements
+  /// nested in it.
   bool checkStmt(const Stmt *S, bool InAtomic) {
+    if (!checkLeaf(S, InAtomic))
+      return false;
+    bool Inner = InAtomic || isa<AtomicStmt>(S);
+    bool Ok = true;
+    forEachSubStmt(S, [&](const Stmt *Sub) {
+      Ok = Ok && checkStmt(Sub, Inner);
+    });
+    return Ok;
+  }
+
+  /// Checks \p S itself; compound statements pass unless misplaced.
+  bool checkLeaf(const Stmt *S, bool InAtomic) {
     switch (S->getKind()) {
-    case StmtKind::Block:
-      for (const StmtPtr &Sub : cast<BlockStmt>(S)->getStmts())
-        if (!checkStmt(Sub.get(), InAtomic))
-          return false;
-      return true;
     case StmtKind::Decl:
       return fail(S, "declaration statement survives lowering");
     case StmtKind::If:
@@ -164,16 +173,11 @@ struct CoreValidator {
       return isCondition(cast<AssumeStmt>(S)->getCond()) ||
              fail(S, "assume condition is not atom or !atom");
     case StmtKind::Atomic:
-      if (InAtomic)
-        return fail(S, "nested atomic block");
-      return checkStmt(cast<AtomicStmt>(S)->getBody(), true);
+      return !InAtomic || fail(S, "nested atomic block");
+    case StmtKind::Block:
     case StmtKind::Choice:
-      for (const StmtPtr &B : cast<ChoiceStmt>(S)->getBranches())
-        if (!checkStmt(B.get(), InAtomic))
-          return false;
-      return true;
     case StmtKind::Iter:
-      return checkStmt(cast<IterStmt>(S)->getBody(), InAtomic);
+      return true;
     case StmtKind::Return: {
       if (InAtomic)
         return fail(S, "return inside atomic block");
