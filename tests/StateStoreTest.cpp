@@ -395,8 +395,10 @@ const GoldenCount Goldens[] = {
     {"queue.kiss", 0, 174},    {"queue.kiss", 2, 790},
     // bank_fixed re-recorded after the atomicity-release fix: its lock
     // acquire (`atomic { assume(*l == 0); ... }`) now carries the
-    // guarded raise choice that models blocking releasing atomicity.
-    {"bank_fixed.kiss", 0, 593}, {"bank_fixed.kiss", 2, 4283},
+    // guarded raise choice that models blocking releasing atomicity, and
+    // at MAX=2 also the arm that lets pending threads run while the
+    // acquirer waits (4,283 states before that arm).
+    {"bank_fixed.kiss", 0, 593}, {"bank_fixed.kiss", 2, 4397},
     {"pingpong.kiss", 0, 47},  {"pingpong.kiss", 2, 638},
     // refcount re-recorded after the call write-back fix: `v = f()` now
     // routes through a temp committed on the no-raise path, which adds a
