@@ -66,13 +66,12 @@ const Type *TypeContext::getStructType(Symbol Name) {
 
 const Type *TypeContext::getFuncType(const Type *Ret,
                                      std::vector<const Type *> Params) {
-  auto Key = std::make_pair(Ret, Params);
-  auto It = FuncTypes.find(Key);
+  auto It = FuncTypes.find(FuncSig{Ret, Params});
   if (It != FuncTypes.end())
-    return It->second;
+    return *It;
   Storage.push_back(Type(TypeKind::Func));
   Storage.back().Pointee = Ret;
   Storage.back().Params = std::move(Params);
-  FuncTypes.emplace(std::move(Key), &Storage.back());
+  FuncTypes.insert(&Storage.back());
   return &Storage.back();
 }

@@ -17,9 +17,13 @@
 
 #include "support/Symbol.h"
 
+#include <algorithm>
 #include <cassert>
 #include <deque>
+#include <functional>
 #include <map>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -111,8 +115,31 @@ private:
   const Type *IntTy;
   std::map<const Type *, const Type *> PointerTypes;
   std::map<Symbol, const Type *> StructTypes;
-  std::map<std::pair<const Type *, std::vector<const Type *>>, const Type *>
-      FuncTypes;
+  /// A func signature, compared without building a key.
+  struct FuncSig {
+    const Type *Ret;
+    std::span<const Type *const> Params;
+  };
+  /// Orders func types by (return type, parameter types); transparent, so
+  /// a FuncSig looks a type up.
+  struct FuncSigLess {
+    using is_transparent = void;
+    static FuncSig sig(const Type *T) {
+      return {T->getReturnType(), T->getParamTypes()};
+    }
+    static FuncSig sig(FuncSig S) { return S; }
+    template <typename L, typename R>
+    bool operator()(const L &A, const R &B) const {
+      FuncSig X = sig(A), Y = sig(B);
+      std::less<const Type *> Less;
+      if (X.Ret != Y.Ret)
+        return Less(X.Ret, Y.Ret);
+      return std::lexicographical_compare(X.Params.begin(), X.Params.end(),
+                                          Y.Params.begin(), Y.Params.end(),
+                                          Less);
+    }
+  };
+  std::set<const Type *, FuncSigLess> FuncTypes;
 };
 
 } // namespace kiss::lang

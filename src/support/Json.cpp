@@ -108,13 +108,27 @@ private:
     return C;
   }
 
+  /// Skips a whitespace run in one pass: the line moves by the run's
+  /// newlines, and the column restarts after the last of them.
   void skipWs() {
-    while (!eof()) {
-      char C = peek();
-      if (C != ' ' && C != '\t' && C != '\n' && C != '\r')
+    size_t End = Pos, LastNewline = Pos;
+    uint32_t Newlines = 0;
+    for (; End != Text.size(); ++End) {
+      char C = Text[End];
+      if (C == '\n') {
+        ++Newlines;
+        LastNewline = End;
+      } else if (C != ' ' && C != '\t' && C != '\r') {
         break;
-      advance();
+      }
     }
+    if (Newlines) {
+      Line += Newlines;
+      Col = static_cast<uint32_t>(End - LastNewline);
+    } else {
+      Col += static_cast<uint32_t>(End - Pos);
+    }
+    Pos = End;
   }
 
   bool expect(char C, const char *What) {

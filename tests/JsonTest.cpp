@@ -114,6 +114,21 @@ TEST(Json, ErrorsAfterLongStringRunsAreLocated) {
             "t.json:3:612: expected ',' or ']'");
 }
 
+TEST(Json, ErrorsAfterLongWhitespaceRunsAreLocated) {
+  // Whitespace is skipped a run at a time; the line counts every newline
+  // (a \r\n pair is one line break, its \r one column) and the column
+  // restarts after the last one.
+  std::string Run;
+  for (int I = 0; I != 100; ++I)
+    Run += " \t\n\r\n  ";
+  EXPECT_EQ(parseErr("[1," + Run + "x]"), "t.json:201:3: unexpected character");
+  EXPECT_EQ(parseErr("[1," + Run + "\t\r x]"),
+            "t.json:201:6: unexpected character");
+  EXPECT_EQ(parseErr("[1," + std::string(500, ' ') + "x]"),
+            "t.json:1:504: unexpected character");
+  EXPECT_EQ(parseErr(Run), "t.json:201:3: unexpected end of input");
+}
+
 TEST(Json, PositionsAfterLongStrings) {
   const std::string Run(1000, 'x');
   json::Value V = parseOk("{\"k\": \"" + Run + "\", \"v\": 7,\n  \"" + Run +
